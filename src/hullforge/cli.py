@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, oracle
+from ._rows import SpanTracker
 from .codes import (BudgetExceeded, HullReport, LinearCode, dual, hull,
                     hull_dimension_via_gramian, is_hull_maximal_so_in,
                     make_code, min_distance, random_invertible, resolve_budget)
@@ -86,14 +87,9 @@ def parse_code_file(text: str) -> LinearCode:
 
 
 def _dependent_rows(spec, rows):
-    bad = []
-    acc = []
-    for i, row in enumerate(rows):
-        acc.append(row)
-        if MatrixFq.from_rows(spec, acc).rank < len(acc):
-            bad.append(i)
-            acc.pop()
-    return bad
+    """Indices of the rows that lie in the span of the rows before them."""
+    span = SpanTracker(spec)
+    return [i for i, row in enumerate(rows) if not span.absorb(row)]
 
 
 def format_code_file(code: LinearCode, comment: str | None = None) -> str:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._rows import row_kernels
 from .gf import FieldSpec
-from .matfq import MatrixFq, check_form, dot, vstack
+from .matfq import MatrixFq, _matrix, check_form, vstack
 
 # Cap on q^k for any codeword enumeration; shared by the brute-force
 # reference module.
@@ -75,7 +76,7 @@ def make_code(spec: FieldSpec, g: MatrixFq) -> LinearCode:
     r, _, rank = g.rref()
     if rank == 0:
         raise ValueError("zero generator matrix: the zero code is not a LinearCode")
-    gen = MatrixFq(spec, rank, g.cols, r.entries[:rank * g.cols])
+    gen = _matrix(spec, rank, g.cols, r.entries[:rank * g.cols])
     return LinearCode(spec, g.cols, rank, gen)
 
 
@@ -190,8 +191,7 @@ def random_code(spec: FieldSpec, n: int, k: int, seed: int) -> LinearCode:
     rng = random.Random(seed)
     q = spec.q
     while True:
-        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-        m = MatrixFq.from_rows(spec, rows)
+        m = _matrix(spec, k, n, tuple(rng.randrange(q) for _ in range(k * n)))
         if m.rank == k:
             return make_code(spec, m)
 
@@ -200,8 +200,7 @@ def random_invertible(spec: FieldSpec, n: int, rng: random.Random) -> MatrixFq:
     """A random invertible n x n matrix, resampled until non-singular."""
     q = spec.q
     while True:
-        m = MatrixFq.from_rows(
-            spec, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+        m = _matrix(spec, n, n, tuple(rng.randrange(q) for _ in range(n * n)))
         if m.rank == n:
             return m
 
@@ -267,14 +266,5 @@ def _iter_codewords(spec: FieldSpec, rows):
 
 
 def _count_isotropic(c: LinearCode, form: str) -> int:
-    spec = c.spec
-    count = 0
-    if form == "euclidean":
-        for w in _iter_codewords(spec, c.gen.row_list()):
-            if dot(spec, w, w, "euclidean") == 0:
-                count += 1
-    else:
-        for w in _iter_codewords(spec, c.gen.row_list()):
-            if dot(spec, w, w, "hermitian") == 0:
-                count += 1
-    return count
+    inner = row_kernels(c.spec).inner(form)
+    return sum(not inner(w, w) for w in _iter_codewords(c.spec, c.gen.row_list()))

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._rows import SpanTracker, row_kernels
 from .codes import LinearCode, hull, is_hull_maximal_so_in
 from .gf import FieldSpec
-from .matfq import MatrixFq, check_form, dot, pair_reduce_diagonal
+from .matfq import MatrixFq, _stack, check_form, dot, pair_reduce_diagonal
 
 
 class NotLcdError(Exception):
@@ -60,35 +61,19 @@ def _require_odd(spec: FieldSpec):
                          "2 = 0 would break it")
 
 
-def _vec_add(spec, u, v):
-    add = spec.add
-    return tuple(add(x, y) for x, y in zip(u, v))
-
-
-def _vec_sub_scaled(spec, u, coef, v):
-    """u - coef * v."""
-    sub, mul = spec.sub, spec.mul
-    return tuple(sub(x, mul(coef, y)) if y else x for x, y in zip(u, v))
-
-
-def _vec_scale(spec, coef, v):
-    mul = spec.mul
-    return tuple(mul(coef, y) for y in v)
-
-
-def _find_anisotropic_rows(spec, rows, form):
+def _find_anisotropic_rows(kz, rows, form):
     """First basis row with nonzero self-product, then first pair
-    combination; None when every Gramian entry is zero."""
+    combination; None when every Gramian entry is zero.  Rows are
+    kernel rows of kz."""
+    inner = kz.inner(form)
     for r in rows:
-        if dot(spec, r, r, form):
+        if inner(r, r):
             return r
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            t = dot(spec, rows[i], rows[j], form)
+            t = inner(rows[i], rows[j])
             if t:
-                if form == "euclidean":
-                    return _vec_add(spec, rows[i], rows[j])
-                return _vec_add(spec, rows[i], _vec_scale(spec, t, rows[j]))
+                return kz.axpy(rows[i], 1 if form == "euclidean" else t, rows[j])
     return None
 
 
@@ -102,43 +87,14 @@ def find_anisotropic(c: LinearCode, form: str = "euclidean"):
     """
     check_form(c.spec, form)
     _require_odd(c.spec)
-    return _find_anisotropic_rows(c.spec, c.gen.row_list(), form)
-
-
-class _SpanTracker:
-    """Incremental row span: absorb(v) reports whether v enlarged it."""
-
-    def __init__(self, spec, n):
-        self.spec = spec
-        self.n = n
-        self.echelon = []             # (pivot position, normalized vector)
-
-    @property
-    def rank(self):
-        return len(self.echelon)
-
-    def absorb(self, row) -> bool:
-        spec = self.spec
-        sub, mul, inv = spec.sub, spec.mul, spec.inv
-        vec = list(row)
-        for pos, base in self.echelon:
-            f = vec[pos]
-            if f:
-                for t in range(pos, self.n):
-                    if base[t]:
-                        vec[t] = sub(vec[t], mul(f, base[t]))
-        for pos in range(self.n):
-            if vec[pos]:
-                piv = inv(vec[pos])
-                self.echelon.append((pos, [mul(piv, x) for x in vec]))
-                self.echelon.sort(key=lambda e: e[0])
-                return True
-        return False
+    kz = row_kernels(c.spec)
+    v = _find_anisotropic_rows(kz, [kz.pack(r) for r in c.gen.row_list()], form)
+    return None if v is None else tuple(v)
 
 
 def _independent_subset(spec, rows, expected):
     """Greedy maximal independent subset of rows, in order."""
-    tracker = _SpanTracker(spec, len(rows[0]) if rows else 0)
+    tracker = SpanTracker(spec)
     kept = [row for row in rows if tracker.absorb(row)]
     if len(kept) != expected:
         raise RuntimeError(f"projection produced rank {len(kept)}, "
@@ -157,11 +113,13 @@ def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationRe
     spec = c.spec
     check_form(spec, form)
     _require_odd(spec)
-    rows = [tuple(r) for r in c.gen.row_list()]
+    kz = row_kernels(spec)
+    inner, axpy, neg, mul = kz.inner(form), kz.axpy, kz.neg, spec.mul
+    rows = [kz.pack(r) for r in c.gen.row_list()]
     aniso = []
     diagonal = []
     while rows:
-        v = _find_anisotropic_rows(spec, rows, form)
+        v = _find_anisotropic_rows(kz, rows, form)
         if v is None:
             break
         nv = dot(spec, v, v, form)
@@ -170,14 +128,14 @@ def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationRe
         inv_nv = spec.inv(nv)
         projected = []
         for w in rows:
-            coef = spec.mul(dot(spec, w, v, form), inv_nv)
-            p = _vec_sub_scaled(spec, w, coef, v)
+            coef = mul(inner(w, v), inv_nv)
+            p = axpy(w, neg(coef), v) if coef else w
             if any(p):
                 projected.append(p)
         rows = _independent_subset(spec, projected, len(rows) - 1)
     new_rows = aniso + rows
     diagonal += [0] * len(rows)
-    new_gen = MatrixFq.from_rows(spec, new_rows, cols=c.n)
+    new_gen = _stack(spec, new_rows, c.n)
     return DiagonalizationResult(c, new_gen, tuple(diagonal), len(aniso),
                                  "odd-induction")
 
@@ -214,17 +172,19 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean",
             "hull is not maximal self-orthogonal in the code; "
             "no diagonal Gramian is certified")
     report = hull(c, form)
-    hull_rows = [] if report.hull is None else [tuple(r) for r in report.hull.gen.row_list()]
+    kz = row_kernels(spec)
+    hull_rows = [] if report.hull is None else [kz.pack(r) for r in report.hull.gen.row_list()]
 
+    inner, axpy, neg = kz.inner(form), kz.axpy, kz.neg
     mul, inv = spec.mul, spec.inv
     # Extend the hull basis to a basis of C, greedily and in row order.
-    tracker = _SpanTracker(spec, c.n)
+    tracker = SpanTracker(spec)
     for row in hull_rows:
         tracker.absorb(row)
     complement = []
     for row in c.gen.row_list():
-        if tracker.absorb(tuple(row)):
-            complement.append(tuple(row))
+        if tracker.absorb(row):
+            complement.append(kz.pack(row))
         if tracker.rank == c.k:
             break
     if len(hull_rows) + len(complement) != c.k:
@@ -235,8 +195,9 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean",
     for t in complement:
         u = t
         for r, rr in zip(ortho, diagonal):
-            coef = mul(dot(spec, u, r, form), inv(rr))
-            u = _vec_sub_scaled(spec, u, coef, r)
+            coef = mul(inner(u, r), inv(rr))
+            if coef:
+                u = axpy(u, neg(coef), r)
         selfdot = dot(spec, u, u, form)
         if selfdot == 0:
             raise RuntimeError("complement vector became isotropic despite "
@@ -246,7 +207,7 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean",
 
     new_rows = ortho + hull_rows
     diagonal += [0] * len(hull_rows)
-    new_gen = MatrixFq.from_rows(spec, new_rows, cols=c.n)
+    new_gen = _stack(spec, new_rows, c.n)
     return DiagonalizationResult(c, new_gen, tuple(diagonal), len(ortho),
                                  "maximal-hull-gs")
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .codes import (BudgetExceeded, LinearCode, dual, hull, make_code,
                     min_distance)
 from .diag import diagonalize_odd
-from .matfq import MatrixFq, check_form, dot
+from .matfq import _stack, check_form, dot
 
 
 class ExtensionVerificationError(Exception):
@@ -100,8 +100,9 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
     """The two base records [[n, k-ell, d; n-k-ell]] and
     [[n, n-k-ell, d_dual; k-ell]].
 
-    Distances over budget degrade to d_exact=None with bounds (1, n)
-    rather than failing.
+    Distances over budget degrade to d_exact=None with Singleton bounds
+    rather than failing: (1, n-k+1) for the code and (1, min(n, k+1))
+    for its dual, whose dimension is n-k.
     """
     check_form(code.spec, form)
     report = hull(code, form)
@@ -111,12 +112,12 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
     tag = "base-hermitian" if form == "hermitian" else "base-euclidean"
 
     d = _distance_or_none(code, budget)
-    primary = _record(n, k - ell, d, (d, d) if d is not None else (1, n),
+    primary = _record(n, k - ell, d, (d, d) if d is not None else (1, n - k + 1),
                       n - k - ell, q_out, tag, 0)
 
     d_dual = _distance_or_none(dual(code, form), budget)
     secondary = _record(n, n - k - ell, d_dual,
-                        (d_dual, d_dual) if d_dual is not None else (1, n),
+                        (d_dual, d_dual) if d_dual is not None else (1, min(n, k + 1)),
                         k - ell, q_out, "base-dual-side", 0)
     return primary, secondary
 
@@ -163,7 +164,7 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
         new_row = [0] * r + list(xs[i])
         new_row[i] = alphas[i]
         hp_rows.append(new_row)
-    hp = MatrixFq.from_rows(spec, hp_rows, cols=n + r)
+    hp = _stack(spec, hp_rows, n + r)
 
     kernel = hp.kernel() if not hermitian else hp.conjugate().kernel()
     extended = make_code(spec, kernel)
@@ -193,7 +194,8 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
             f"distance {d_prime} outside [{d}, {d + r}]", cert)
 
     tag = "ext-hermitian" if hermitian else "ext-euclidean"
-    bounds = (d, d + r) if d is not None else (1, n + r)
+    singleton = n + r - k + 1          # the extended code is [n + r, k]
+    bounds = (d, min(d + r, singleton)) if d is not None else (1, singleton)
     record = _record(n + r, k - ell, d_prime, bounds, n - k - ell + r,
                      _qudit_dimension(spec, form), tag, r)
     return cert, record

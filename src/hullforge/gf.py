@@ -18,10 +18,15 @@ so constructing the same field twice gives bit-identical results:
     p=5, m=2 : x^2 + x + 1
     p=7, m=2 : x^2 + 1
 
-Field orders are capped at 2^16.  Fields that small never justify
-discrete-log machinery: multiplication is schoolbook with full dense
-operation tables cached for q <= 256, which covers every field the rest
-of the package exercises heavily.
+Field orders are capped at 2^16.  Fields with q <= 256 get dense
+operation tables (add, mul, neg, inv, conj, sqrt; subtraction adds the
+negative), built once per field by schoolbook polynomial arithmetic;
+larger fields compute every operation from the polynomials.
+
+The methods of FieldSpec do arithmetic on single elements.  Row
+operations read the tables directly, through the kernels in
+`hullforge._rows`, which are built the first time a field is used,
+never at import.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "m", "q", "modulus", "subfield_order",
-                 "add_table", "sub_table", "mul_table",
+                 "add_table", "mul_table",
                  "neg_table", "inv_table", "conj_table", "_sqrt_table")
 
     def __init__(self, p: int, m: int):
@@ -157,7 +162,6 @@ class FieldSpec:
             self._build_tables()
         else:
             self.add_table = None
-            self.sub_table = None
             self.mul_table = None
             self.neg_table = None
             self.inv_table = None
@@ -168,12 +172,13 @@ class FieldSpec:
 
     def _build_tables(self):
         q = self.q
+        # Rows of mul_table are bytes, a quarter of the memory of lists:
+        # the row kernels translate through them, and only single-element
+        # calls index them from Python.  add_table keeps list rows, which
+        # index faster inside the codeword enumeration.
         self.add_table = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self.mul_table = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
+        self.mul_table = [bytes(self._mul_raw(a, b) for b in range(q)) for a in range(q)]
         self.neg_table = [self._neg_raw(a) for a in range(q)]
-        neg = self.neg_table
-        add = self.add_table
-        self.sub_table = [[add[a][neg[b]] for b in range(q)] for a in range(q)]
         inv = [None] * q
         for a in range(1, q):
             inv[a] = self.mul_table[a].index(1)
@@ -236,8 +241,8 @@ class FieldSpec:
         return t[a][b] if t is not None else self._add_raw(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        t = self.sub_table
-        return t[a][b] if t is not None else self._add_raw(a, self._neg_raw(b))
+        t = self.add_table
+        return t[a][self.neg_table[b]] if t is not None else self._add_raw(a, self._neg_raw(b))
 
     def mul(self, a: int, b: int) -> int:
         t = self.mul_table

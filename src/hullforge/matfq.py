@@ -5,10 +5,22 @@ matrix, entries are a flat row-major tuple of element codes, and
 equality is structural.  All algorithms are deterministic (leftmost
 pivot column, topmost nonzero row), which the rest of the package
 relies on for reproducible fixtures.
+
+Elimination, products, the pair reduction and `dot` run on the row
+kernels of `hullforge._rows`, picked once per field: bytes rows with
+translate tables for q <= 256, the FieldSpec methods above that.
+
+Entries are checked where they enter from outside: `MatrixFq(...)` and
+`MatrixFq.from_rows` reject an entry that is not an int in [0, q).
+Matrices the package computes itself are built by `_matrix`, which
+skips that per-entry check.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
+from ._rows import row_kernels
 from .gf import FieldSpec
 
 FORMS = ("euclidean", "hermitian")
@@ -59,12 +71,12 @@ class MatrixFq:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "MatrixFq":
-        return cls(spec, n, n, [1 if i == j else 0
-                                for i in range(n) for j in range(n)])
+        return _matrix(spec, n, n, tuple(1 if i == j else 0
+                                         for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "MatrixFq":
-        return cls(spec, rows, cols, [0] * (rows * cols))
+        return _matrix(spec, rows, cols, (0,) * (rows * cols))
 
     # -- access ------------------------------------------------------------
 
@@ -74,10 +86,6 @@ class MatrixFq:
 
     def row_list(self) -> list:
         return [self.row(i) for i in range(self.rows)]
-
-    def to_rows(self) -> list:
-        """Mutable list-of-lists copy for internal elimination work."""
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -90,17 +98,16 @@ class MatrixFq:
 
     def transpose(self) -> "MatrixFq":
         r, c, e = self.rows, self.cols, self.entries
-        return MatrixFq(self.spec, c, r,
-                        [e[i * c + j] for j in range(c) for i in range(r)])
+        return _matrix(self.spec, c, r,
+                       tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
     def conjugate(self) -> "MatrixFq":
         """Entrywise x -> x^(p^(m/2)); requires a square-order field."""
         spec = self.spec
         if spec.subfield_order is None:
             raise ValueError("conjugation requires a field of square order")
-        conj = spec.conjugate
-        return MatrixFq(spec, self.rows, self.cols,
-                        [conj(e) for e in self.entries])
+        conj = spec.conj_table.__getitem__ if spec.conj_table else spec.conjugate
+        return _matrix(spec, self.rows, self.cols, tuple(map(conj, self.entries)))
 
     def conj_transpose(self) -> "MatrixFq":
         return self.conjugate().transpose()
@@ -114,22 +121,20 @@ class MatrixFq:
             raise ValueError(f"shape mismatch: ({self.rows}x{self.cols}) @ "
                              f"({other.rows}x{other.cols})")
         spec = self.spec
-        add, mul = spec.add, spec.mul
+        kz = row_kernels(spec)
+        axpy = kz.axpy
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
+        brows = [kz.pack(b[t * m:(t + 1) * m]) for t in range(k)]
+        zero = kz.pack((0,) * m)
         out = []
         for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    x = arow[t]
-                    if x:
-                        y = b[t * m + j]
-                        if y:
-                            acc = add(acc, mul(x, y))
-                out.append(acc)
-        return MatrixFq(spec, n, m, out)
+            acc = zero
+            for x, brow in zip(a[i * k:(i + 1) * k], brows):
+                if x:
+                    acc = axpy(acc, x, brow)
+            out.append(acc)
+        return _stack(spec, out, m)
 
     def gramian(self, form: str = "euclidean") -> "MatrixFq":
         """G @ G^T for the euclidean form, G @ G^dagger for the hermitian."""
@@ -148,9 +153,11 @@ class MatrixFq:
             with leading ones and zeros above and below each pivot.
         """
         spec = self.spec
-        inv, mul, sub = spec.inv, spec.mul, spec.sub
-        rows = self.to_rows()
+        kz = row_kernels(spec)
+        axpy, neg, inv = kz.axpy, kz.neg, spec.inv
         nrows, ncols = self.rows, self.cols
+        e = self.entries
+        rows = [kz.pack(e[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
         pivots = []
         r = 0
         for c in range(ncols):
@@ -167,18 +174,15 @@ class MatrixFq:
                 rows[r], rows[pr] = rows[pr], rows[r]
             pv = rows[r][c]
             if pv != 1:
-                iv = inv(pv)
-                rows[r] = [mul(iv, x) for x in rows[r]]
+                rows[r] = kz.scale(inv(pv), rows[r])
             prow = rows[r]
             for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    ri = rows[i]
-                    rows[i] = [sub(ri[j], mul(f, prow[j])) if prow[j] else ri[j]
-                               for j in range(ncols)]
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = axpy(rows[i], neg(f), prow)
             pivots.append(c)
             r += 1
-        return MatrixFq.from_rows(spec, rows, ncols), tuple(pivots), r
+        return _stack(spec, rows, ncols), tuple(pivots), r
 
     @property
     def rank(self) -> int:
@@ -193,18 +197,19 @@ class MatrixFq:
         spec = self.spec
         R, pivots, rank = self.rref()
         n = self.cols
-        free = [c for c in range(n) if c not in set(pivots)]
-        neg = spec.neg
+        pivot_set = set(pivots)
+        free = [c for c in range(n) if c not in pivot_set]
+        neg = row_kernels(spec).neg
+        top = R.entries[:rank * n]
         basis = []
         for f in free:
             v = [0] * n
             v[f] = 1
-            for i, pc in enumerate(pivots):
-                x = R[i, f]
+            for pc, x in zip(pivots, top[f::n]):
                 if x:
                     v[pc] = neg(x)
-            basis.append(v)
-        return MatrixFq.from_rows(spec, basis, cols=n)
+            basis.extend(v)
+        return _matrix(spec, len(free), n, tuple(basis))
 
     # -- value semantics ------------------------------------------------------
 
@@ -229,10 +234,30 @@ class MatrixFq:
                          for i in range(self.rows))
 
 
+def _matrix(spec: FieldSpec, rows: int, cols: int, entries: tuple) -> MatrixFq:
+    """A MatrixFq from a tuple of entries the package computed itself.
+
+    Skips the per-entry check of `MatrixFq.__init__`: entries produced
+    by field arithmetic on valid entries are valid.
+    """
+    m = object.__new__(MatrixFq)
+    m.spec = spec
+    m.rows = rows
+    m.cols = cols
+    m.entries = entries
+    return m
+
+
+def _stack(spec: FieldSpec, rows, cols: int) -> MatrixFq:
+    """`from_rows` without the per-entry check, for rows of codes the
+    package computed itself (kernel rows, lists or tuples)."""
+    return _matrix(spec, len(rows), cols, tuple(chain.from_iterable(rows)))
+
+
 def vstack(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     if a.spec != b.spec or a.cols != b.cols:
         raise ValueError("vstack needs matching fields and column counts")
-    return MatrixFq(a.spec, a.rows + b.rows, a.cols, a.entries + b.entries)
+    return _matrix(a.spec, a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
 def dot(spec: FieldSpec, u, v, form: str = "euclidean") -> int:
@@ -240,18 +265,7 @@ def dot(spec: FieldSpec, u, v, form: str = "euclidean") -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     check_form(spec, form)
-    add, mul = spec.add, spec.mul
-    acc = 0
-    if form == "euclidean":
-        for x, y in zip(u, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-    else:
-        conj = spec.conjugate
-        for x, y in zip(u, v):
-            if x and y:
-                acc = add(acc, mul(x, conj(y)))
-    return acc
+    return row_kernels(spec).inner(form)(u, v)
 
 
 def pair_reduce_diagonal(s: MatrixFq):
@@ -266,53 +280,56 @@ def pair_reduce_diagonal(s: MatrixFq):
         raise ValueError("pair reduction needs a square matrix")
     spec = s.spec
     k = s.rows
-    mul, sub, inv = spec.mul, spec.sub, spec.inv
-    a = s.to_rows()
-    left = MatrixFq.identity(spec, k).to_rows()
-    right = MatrixFq.identity(spec, k).to_rows()
+    kz = row_kernels(spec)
+    axpy, neg = kz.axpy, kz.neg
+    mul, inv = spec.mul, spec.inv
+    e = s.entries
+    a = [kz.pack(e[i * k:(i + 1) * k]) for i in range(k)]
+    unit = [kz.pack([1 if j == i else 0 for j in range(k)]) for i in range(k)]
+    left = unit[:]
+    # right[j] is column j of the column-operation matrix, so column
+    # operations on S become row operations on right, and Q is right.
+    right = unit[:]
+    # Columns of S are swapped through col instead of in a: the t-th
+    # column of the reduction is column col[t] of every row of a.
+    col = list(range(k))
+    diagonal = []
 
     for t in range(k):
         # first nonzero entry of the trailing block, row-major scan
-        pi = pj = None
-        for i in range(t, k):
-            for j in range(t, k):
-                if a[i][j]:
-                    pi, pj = i, j
-                    break
-            if pi is not None:
-                break
-        if pi is None:
+        pivot = next(((i, j) for i in range(t, k) for j in range(t, k)
+                      if a[i][col[j]]), None)
+        if pivot is None:
             break
+        pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             left[t], left[pi] = left[pi], left[t]
         if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in right:
-                row[t], row[pj] = row[pj], row[t]
-        piv_inv = inv(a[t][t])
+            col[t], col[pj] = col[pj], col[t]
+            right[t], right[pj] = right[pj], right[t]
+        row = a[t]
+        d = row[col[t]]
+        piv_inv = inv(d)
         for i in range(t + 1, k):
-            f = a[i][t]
+            f = a[i][col[t]]
             if f:
-                f = mul(f, piv_inv)
-                a[i] = [sub(a[i][j], mul(f, a[t][j])) for j in range(k)]
-                left[i] = [sub(left[i][j], mul(f, left[t][j])) for j in range(k)]
+                f = neg(mul(f, piv_inv))
+                a[i] = axpy(a[i], f, row)
+                left[i] = axpy(left[i], f, left[t])
+        # Column t of a is now zero below row t and, by the earlier
+        # steps, above it, so clearing row t right of the pivot changes
+        # no other entry of a; row t is not read again.
         for j in range(t + 1, k):
-            f = a[t][j]
+            f = row[col[j]]
             if f:
-                f = mul(f, piv_inv)
-                for row in a:
-                    if row[t]:
-                        row[j] = sub(row[j], mul(f, row[t]))
-                for row in right:
-                    if row[t]:
-                        row[j] = sub(row[j], mul(f, row[t]))
+                right[j] = axpy(right[j], neg(mul(f, piv_inv)), right[t])
+        diagonal.append(d)
 
-    p = MatrixFq.from_rows(spec, left, cols=k)
-    q = MatrixFq.from_rows(spec, right, cols=k).transpose()
-    d = MatrixFq.from_rows(spec, a, cols=k)
-    return p, q, d
+    dd = [0] * (k * k)
+    for t, d in enumerate(diagonal):
+        dd[t * k + t] = d
+    return _stack(spec, left, k), _stack(spec, right, k), _matrix(spec, k, k, tuple(dd))
 
 
 def row_space_equal(a: MatrixFq, b: MatrixFq) -> bool:

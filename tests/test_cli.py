@@ -39,9 +39,19 @@ def test_parse_accepts_crlf():
 
 
 def test_parse_rank_deficiency_names_rows():
-    with pytest.raises(cli.CodeFileError) as err:
-        cli.parse_code_file("2 1 3 2\n1 1 1\n1 1 1\n")
-    assert "rows [1]" in str(err.value)
+    cases = [
+        ("2 1 3 2\n1 1 1\n1 1 1\n", "[1]"),
+        # r2 = r0 + 2 r1 and r3 = 2 r0, over GF(3)
+        ("3 1 5 5\n1 0 0 0 0\n0 1 0 0 0\n1 2 0 0 0\n2 0 0 0 0\n0 0 1 0 0\n", "[2, 3]"),
+        # a zero row first, then multiples of one row
+        ("3 1 4 4\n0 0 0 0\n1 1 0 0\n0 0 0 0\n2 2 0 0\n", "[0, 2, 3]"),
+        # GF(4): r1 = 2 r0 and r3 = 3 r0 + r2
+        ("2 2 4 4\n1 2 0 0\n2 3 0 0\n0 0 1 1\n3 1 1 1\n", "[1, 3]"),
+    ]
+    for text, rows in cases:
+        with pytest.raises(cli.CodeFileError) as err:
+            cli.parse_code_file(text)
+        assert f"rows {rows} depend" in str(err.value)
 
 
 @pytest.mark.parametrize("text", [

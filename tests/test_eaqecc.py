@@ -60,7 +60,7 @@ def test_base_params_full_space():
 def test_base_params_budget_degrades_to_bounds():
     primary, _ = base_params(hamming(), budget=3)
     assert primary.d_exact is None
-    assert primary.d_bounds == (1, 7)
+    assert primary.d_bounds == (1, 4)               # Singleton: n - k + 1
     assert primary.k_logical == 1               # hull still computed exactly
 
 

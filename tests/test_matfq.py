@@ -21,6 +21,14 @@ def rand_matrix(spec, rows, cols, rng):
 # rref / rank / kernel
 # ---------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
+def test_constructors_reject_bad_entries(bad):
+    with pytest.raises(ValueError):
+        MatrixFq(F2, 1, 2, [0, bad])
+    with pytest.raises(ValueError):
+        MatrixFq.from_rows(F2, [[0, 1], [bad, 0]])
+
+
 def test_rref_identity():
     m = MatrixFq.identity(F2, 3)
     r, piv, rank = m.rref()

@@ -30,8 +30,16 @@ operation makes a Python-level call per entry:
   over GF(p^m) the products come from ``mul_table`` and are summed with
   XOR (characteristic 2) or as wide digit fields reduced once (odd).
 
-Fields with q > 256 have no tables.  Their rows are lists, and every
-entry goes through the `FieldSpec` methods.
+Fields with q > 256 have no tables, and their rows are lists of codes:
+
+* over GF(p^m), m >= 2, the kernels work on the lanes of the field's
+  core (`gf._Lanes`): `axpy` spreads its scalar once per call, and per
+  entry adds the spread digits of u_i to the big-int product of the
+  spread f and v_i before one reduction; `dot` and `dot_conj` sum the
+  products of spread codes unreduced, in lanes wide enough for the row
+  length, and reduce once;
+* over GF(p), p > 256, they are list comprehensions mod p, and `dot`
+  is ``sum(map(mul, u, v)) % p``, reduced once.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from functools import lru_cache, reduce
 from operator import getitem, mul, xor
 from typing import Callable, NamedTuple
 
-from .gf import FieldSpec
+from .gf import FieldSpec, _digit_spreads
 
 _WIDE = 32      # bits per digit in dot-product sums: rows are far shorter than 2^32 / p
 
@@ -61,9 +69,11 @@ class RowKernels(NamedTuple):
 @lru_cache(maxsize=None)
 def row_kernels(spec: FieldSpec) -> RowKernels:
     """The row kernels of a field, built on first use."""
-    if spec.mul_table is None:
-        return _method_kernels(spec)
-    return _bytes_kernels(spec)
+    if spec.mul_table is not None:
+        return _bytes_kernels(spec)
+    if spec.m == 1:
+        return _prime_kernels(spec)
+    return _lane_kernels(spec)
 
 
 def _bytes_kernels(spec):
@@ -84,7 +94,7 @@ def _bytes_kernels(spec):
             return (from_bytes(u, "little") ^ from_bytes(v, "little")
                     ).to_bytes(len(u), "little")
     elif m * w <= 8:
-        spread = [_spread(spec, a, w) for a in range(q)]
+        spread = _digit_spreads(p, m, w)
         spread_row = bytes(spread) + pad
         spread_mt = [bytes(spread[x] for x in row) + pad for row in mult]
         lane = (1 << w) - 1
@@ -111,7 +121,7 @@ def _bytes_kernels(spec):
         def total(products):
             return reduce(xor, products, 0)
     else:
-        wide = [_spread(spec, a, _WIDE) for a in range(q)].__getitem__
+        wide = _digit_spreads(p, m, _WIDE).__getitem__
         mask = (1 << _WIDE) - 1
 
         def total(products):
@@ -133,39 +143,54 @@ def _bytes_kernels(spec):
     return RowKernels(bytes, axpy, scale, dot, dot_conj, neg)
 
 
-def _spread(spec, a, width):
-    """Code a with its base-p digit i moved to bits [width*i, width*(i+1))."""
-    return sum(d << (width * i) for i, d in enumerate(spec._digits(a)))
-
-
-def _method_kernels(spec):
-    add, mul_, neg = spec.add, spec.mul, spec.neg
+def _prime_kernels(spec):
+    p = spec.p
 
     def axpy(u, f, v):
-        return [add(x, mul_(f, y)) if y else x for x, y in zip(u, v)]
+        return [(x + f * y) % p for x, y in zip(u, v)]
 
     def scale(f, v):
-        return [mul_(f, y) for y in v]
+        return [f * y % p for y in v]
 
     def dot(u, v):
-        acc = 0
-        for x, y in zip(u, v):
-            if x and y:
-                acc = add(acc, mul_(x, y))
-        return acc
+        return sum(map(mul, u, v)) % p
+
+    def neg(a):
+        return -a % p
+
+    return RowKernels(list, axpy, scale, dot, None, neg)
+
+
+def _lane_kernels(spec):
+    core = spec._core                 # its lanes hold a product plus an addend
+    half, lo, hi, finish = core.half, core.lo, core.hi, core.finish
+
+    def axpy(u, f, v):
+        sf = lo[f % half] + hi[f // half]
+        return [finish(sf * (lo[y % half] + hi[y // half]) + lo[x % half] + hi[x // half])
+                if y else x for x, y in zip(u, v)]
+
+    def scale(f, v):
+        sf = lo[f % half] + hi[f // half]
+        return [finish(sf * (lo[y % half] + hi[y // half])) if y else 0 for y in v]
+
+    def dot(u, v):
+        lanes = spec._lanes_for(len(u))
+        lo, hi = lanes.lo, lanes.hi
+        return lanes.finish(sum([(lo[x % half] + hi[x // half]) * (lo[y % half] + hi[y // half])
+                                 for x, y in zip(u, v) if x and y]))
 
     dot_conj = None
     if spec.subfield_order is not None:
-        conj = spec.conjugate
-
         def dot_conj(u, v):
-            acc = 0
-            for x, y in zip(u, v):
-                if x and y:
-                    acc = add(acc, mul_(x, conj(y)))
-            return acc
+            # a conjugate is spread as the sum of two spread halves, whose
+            # lanes reach 2(p-1): twice the terms of a plain product
+            lanes = spec._lanes_for(2 * len(u))
+            lo, hi, clo, chi = lanes.lo, lanes.hi, lanes.conj_lo, lanes.conj_hi
+            return lanes.finish(sum([(lo[x % half] + hi[x // half]) * (clo[y % half] + chi[y // half])
+                                     for x, y in zip(u, v) if x and y]))
 
-    return RowKernels(list, axpy, scale, dot, dot_conj, neg)
+    return RowKernels(list, axpy, scale, dot, dot_conj, core.neg)
 
 
 class SpanTracker:

@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__, oracle
 from ._rows import SpanTracker
@@ -79,11 +80,12 @@ def parse_code_file(text: str) -> LinearCode:
                 raise CodeFileError(f"row {idx}: entry {e} out of range [0, {spec.q})")
         rows.append(row)
     matrix = MatrixFq.from_rows(spec, rows)
-    if matrix.rank != k:
+    code = None if matrix.is_zero() else make_code(spec, matrix)
+    if code is None or code.k != k:
         deficient = _dependent_rows(spec, rows)
         raise CodeFileError(
             f"generator rows are rank deficient: rows {deficient} depend on earlier rows")
-    return make_code(spec, matrix)
+    return code
 
 
 def _dependent_rows(spec, rows):
@@ -336,7 +338,7 @@ def cmd_eaqecc_base(args):
     code, digest = _load(args)
     budget = _budget(args)
     primary, secondary = base_params(code, args.form, budget)
-    ell = hull(code, args.form).ell
+    ell = code.k - primary.k_logical
     payload = {"hull_dimension": ell,
                "primary": record_json(primary),
                "dual_side": record_json(secondary)}
@@ -517,11 +519,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on first use.  Parsing keeps no state
+    in it, so every call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.command_line = " ".join(argv)
     try:
         return args.func(args)

@@ -97,6 +97,12 @@ def dual(c: LinearCode, form: str = "euclidean") -> LinearCode | None:
 
 def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
     """The hull C intersect dual(C), computed as the dual of their sum."""
+    return _hull_and_dual(c, form)[0]
+
+
+def _hull_and_dual(c: LinearCode, form: str):
+    """`hull(c, form)` together with the dual code it computed on the way
+    (None for the zero dual), for callers that need both."""
     check_form(c.spec, form)
     d = dual(c, form)
     if d is None:
@@ -111,7 +117,7 @@ def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
     consistent = (gen_gramian_rank == c.k - ell
                   and parity_gramian_rank == c.n - c.k - ell)
     return HullReport(form, hull_code, ell, gen_gramian_rank,
-                      parity_gramian_rank, consistent)
+                      parity_gramian_rank, consistent), d
 
 
 def hull_dimension_via_gramian(c: LinearCode, form: str = "euclidean") -> int:

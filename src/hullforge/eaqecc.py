@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (BudgetExceeded, LinearCode, dual, hull, make_code,
-                    min_distance)
+from .codes import (BudgetExceeded, LinearCode, _hull_and_dual, hull,
+                    make_code, min_distance)
 from .diag import diagonalize_odd
 from .matfq import _stack, check_form, dot
 
@@ -105,7 +105,7 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
     for its dual, whose dimension is n-k.
     """
     check_form(code.spec, form)
-    report = hull(code, form)
+    report, dual_code = _hull_and_dual(code, form)
     ell = report.ell
     n, k = code.n, code.k
     q_out = _qudit_dimension(code.spec, form)
@@ -115,22 +115,17 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
     primary = _record(n, k - ell, d, (d, d) if d is not None else (1, n - k + 1),
                       n - k - ell, q_out, tag, 0)
 
-    d_dual = _distance_or_none(dual(code, form), budget)
+    d_dual = _distance_or_none(dual_code, budget)
     secondary = _record(n, n - k - ell, d_dual,
                         (d_dual, d_dual) if d_dual is not None else (1, min(n, k + 1)),
                         k - ell, q_out, "base-dual-side", 0)
     return primary, secondary
 
 
-def _parity_rows(code: LinearCode, form: str):
-    d = dual(code, form)
-    return [] if d is None else d.gen.row_list()
-
-
 def _build_extension(code: LinearCode, r: int, form: str, budget):
     """Shared body of the euclidean and hermitian extensions."""
     spec = code.spec
-    report = hull(code, form)
+    report, dual_code = _hull_and_dual(code, form)
     ell = report.ell
     n, k = code.n, code.k
     if not 0 <= r <= k - ell:
@@ -158,7 +153,7 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
                 f"no admissible alpha for extension row {i}")
         alphas.append(alpha)
 
-    h_rows = _parity_rows(code, form)
+    h_rows = [] if dual_code is None else dual_code.gen.row_list()
     hp_rows = [[0] * r + list(row) for row in h_rows]
     for i in range(r):
         new_row = [0] * r + list(xs[i])

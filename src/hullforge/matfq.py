@@ -8,7 +8,8 @@ relies on for reproducible fixtures.
 
 Elimination, products, the pair reduction and `dot` run on the row
 kernels of `hullforge._rows`, picked once per field: bytes rows with
-translate tables for q <= 256, the FieldSpec methods above that.
+translate tables for q <= 256, lists on the lanes of the field's core
+above that.
 
 Entries are checked where they enter from outside: `MatrixFq(...)` and
 `MatrixFq.from_rows` reject an entry that is not an int in [0, q).
@@ -106,7 +107,7 @@ class MatrixFq:
         spec = self.spec
         if spec.subfield_order is None:
             raise ValueError("conjugation requires a field of square order")
-        conj = spec.conj_table.__getitem__ if spec.conj_table else spec.conjugate
+        conj = spec.conj_table.__getitem__ if spec.conj_table else spec._core.conj
         return _matrix(spec, self.rows, self.cols, tuple(map(conj, self.entries)))
 
     def conj_transpose(self) -> "MatrixFq":

@@ -197,6 +197,26 @@ def test_certificate_roundtrip():
     assert back == cert
 
 
+def test_main_answers_alike_after_a_usage_error_and_a_refusal(capsys, fixtures_dir, tmp_path):
+    """main builds its parser once; nothing of one call leaks into the next."""
+    cli._parser.cache_clear()
+    full = tmp_path / "full22.code"
+    full.write_text("2 1 2 2\n1 0\n0 1\n")
+    ham = str(fixtures_dir / "hamming74.code")
+    calls = [["eaqecc-base", ham, "--json"],
+             ["diag", ham, "--pair"],
+             ["mindist", ham, "--budget", "3"],
+             ["diag", str(full)]]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [rc for rc, _, _ in first] == [0, 0, 1, 1]
+    for bad in (["hull"], ["hull", ham, "--form", "nope"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert [run(capsys, *argv) for argv in calls] == first
+
+
 def test_json_outputs_are_byte_identical(capsys, fixtures_dir):
     ham = str(fixtures_dir / "hamming74.code")
     _, first, _ = run(capsys, "verify", ham, "--json")

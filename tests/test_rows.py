@@ -13,10 +13,12 @@ from hullforge.matfq import MatrixFq, dot, pair_reduce_diagonal
 
 # GF(2), GF(3), GF(7), GF(4), GF(9), GF(49), GF(256) as named; GF(81),
 # GF(127) and GF(131) sit on either side of the one-byte digit packing;
-# GF(17^2) has no tables.
+# GF(2^9), GF(3^6), GF(17^2) and GF(251^2) have no tables and run on the
+# lanes of the core, GF(257) on integers mod p.
 FIELDS = [make_field(p, m) for p, m in
           [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (7, 2), (2, 8),
-           (3, 4), (127, 1), (131, 1), (17, 2)]]
+           (3, 4), (127, 1), (131, 1), (2, 9), (3, 6), (17, 2), (251, 2),
+           (257, 1)]]
 
 fields = st.sampled_from(FIELDS)
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -218,3 +220,17 @@ def test_axpy_and_scale_for_every_scalar(spec):
         assert list(kz.axpy(pu, f, pv)) == want
         assert list(kz.scale(f, pv)) == [spec.mul(f, y) for y in v]
     assert list(pu) == u and list(pv) == v          # inputs left alone
+
+
+@pytest.mark.parametrize("spec", [f for f in FIELDS if f.q > 256], ids=lambda s: f"q{s.q}")
+@pytest.mark.parametrize("n", [1, 2, 16, 32, 40, 300])
+def test_dot_on_long_rows_of_largest_codes(spec, n):
+    """Dot products sum their terms unreduced, in lanes sized for the row
+    length: rows of the largest code fill every lane to its bound."""
+    rng = random.Random(n)
+    rows = ([spec.q - 1] * n, [spec.q - 1] * (n - 1) + [rng.randrange(spec.q)])
+    forms = ["euclidean"] + (["hermitian"] if spec.subfield_order else [])
+    for u in rows:
+        for v in rows:
+            for form in forms:
+                assert dot(spec, u, v, form) == naive_dot(spec, u, v, form)

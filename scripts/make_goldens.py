@@ -108,6 +108,9 @@ def main_script():
     write_cli_golden("field-info.json", ["field-info", ham, "--json"])
     write_cli_golden("hull_hamming74.json", ["hull", ham, "--json"])
     write_cli_golden("diag_ext635.json", ["diag", "fixtures/ext635.code", "--json"])
+    write_cli_golden("diag_hamming74.json", ["diag", ham, "--json"])
+    write_cli_golden("diag_herm42gf4_hermitian.json",
+                     ["diag", "fixtures/herm42gf4.code", "--form", "hermitian", "--json"])
     write_cli_golden("mindist_hamming74.json", ["mindist", ham, "--json"])
     write_cli_golden("eaqecc-base_hamming74.json", ["eaqecc-base", ham, "--json"])
     write_cli_golden("eaqecc-extend_ext635.json",

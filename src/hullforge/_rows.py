@@ -192,32 +192,3 @@ def _lane_kernels(spec):
 
     return RowKernels(list, axpy, scale, dot, dot_conj, core.neg)
 
-
-class SpanTracker:
-    """Incremental row span over a field: absorb(row) reports whether
-    the row enlarged it."""
-
-    def __init__(self, spec: FieldSpec):
-        self.kernels = row_kernels(spec)
-        self.inv = spec.inv
-        self.echelon = []             # (pivot position, row with a 1 there)
-
-    @property
-    def rank(self) -> int:
-        return len(self.echelon)
-
-    def absorb(self, row) -> bool:
-        kz = self.kernels
-        axpy, neg = kz.axpy, kz.neg
-        vec = kz.pack(row)
-        # Each stored row is zero at the pivots stored before it, so one
-        # pass in insertion order clears every pivot position of vec.
-        for pos, base in self.echelon:
-            f = vec[pos]
-            if f:
-                vec = axpy(vec, neg(f), base)
-        for pos, x in enumerate(vec):
-            if x:
-                self.echelon.append((pos, kz.scale(self.inv(x), vec)))
-                return True
-        return False

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__, oracle
-from ._rows import SpanTracker
 from .codes import (BudgetExceeded, HullReport, LinearCode, dual, hull,
                     hull_dimension_via_gramian, is_hull_maximal_so_in,
                     make_code, min_distance, random_invertible, resolve_budget)
@@ -82,16 +81,17 @@ def parse_code_file(text: str) -> LinearCode:
     matrix = MatrixFq.from_rows(spec, rows)
     code = None if matrix.is_zero() else make_code(spec, matrix)
     if code is None or code.k != k:
-        deficient = _dependent_rows(spec, rows)
+        deficient = _dependent_rows(matrix)
         raise CodeFileError(
             f"generator rows are rank deficient: rows {deficient} depend on earlier rows")
     return code
 
 
-def _dependent_rows(spec, rows):
-    """Indices of the rows that lie in the span of the rows before them."""
-    span = SpanTracker(spec)
-    return [i for i, row in enumerate(rows) if not span.absorb(row)]
+def _dependent_rows(matrix: MatrixFq):
+    """Indices of the rows that lie in the span of the rows before them:
+    the non-pivot columns of the transpose."""
+    independent = set(matrix.transpose().rref()[1])
+    return [i for i in range(matrix.rows) if i not in independent]
 
 
 def format_code_file(code: LinearCode, comment: str | None = None) -> str:
@@ -309,7 +309,7 @@ def cmd_diag(args):
     if spec.p != 2:
         res = diagonalize_odd(code, args.form)
     else:
-        res = diagonalize_maximal_hull(code, args.form, _budget(args))
+        res = diagonalize_maximal_hull(code, args.form)
     lines = [f"method: {res.method}",
              f"gramian diagonal: {' '.join(map(str, res.diagonal))}",
              f"nonzero entries: {res.nonzero_count}",
@@ -369,9 +369,14 @@ def cmd_eaqecc_extend(args):
 # ----------------------------------------------------------------------
 
 def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
+    """(name, outcome) pairs: outcome is True or False for a check that
+    ran, and the reason it was skipped otherwise."""
     spec = code.spec
     q = spec.q
     checks = []
+
+    def over(words):
+        return f"needs {words} codewords, cap {budget}"
 
     rep = hull(code, form)
     checks.append(("hull-gramian-consistency", rep.consistent))
@@ -386,7 +391,7 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
                        min_distance(code, budget)
                        == oracle.min_distance_by_enumeration(code, budget)))
         checks.append(("maximality-agreement",
-                       is_hull_maximal_so_in(code, form, "code", budget)
+                       is_hull_maximal_so_in(code, form)
                        == oracle.maximal_so_by_enumeration(code, form, budget)))
     else:
         d = dual(code, form)
@@ -396,9 +401,9 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
             _, oracle_ell = oracle.hull_by_enumeration(d, form, budget)
             checks.append(("hull-vs-enumeration", oracle_ell == rep.ell))
         else:
-            checks.append(("hull-vs-enumeration", None))
-        checks.append(("min-distance-agreement", None))
-        checks.append(("maximality-agreement", None))
+            checks.append(("hull-vs-enumeration", over(q ** min(code.k, d.k))))
+        checks.append(("min-distance-agreement", over(q ** code.k)))
+        checks.append(("maximality-agreement", over(q ** code.k)))
 
     rng = random.Random(seed)
     e1 = random_invertible(spec, code.k, rng)
@@ -423,9 +428,9 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
         res = diagonalize_odd(code, form)
     else:
         try:
-            res = diagonalize_maximal_hull(code, form, budget)
-        except (HullNotMaximalError, BudgetExceeded):
-            checks.append(("diagonalization", None))
+            res = diagonalize_maximal_hull(code, form)
+        except HullNotMaximalError:
+            checks.append(("diagonalization", "hull not maximal"))
     if res is not None:
         gram = res.new_gen.gramian(form)
         ok = (all(gram[i, j] == (res.diagonal[i] if i == j else 0)
@@ -441,14 +446,26 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
 def cmd_verify(args):
     code, digest = _load(args)
     checks = _verify_checks(code, args.form, _budget(args), args.seed)
-    status = {True: "pass", False: "FAIL", None: "skipped"}
-    lines = [f"{status[ok]:>7}  {name}" for name, ok in checks]
-    passed = all(ok is not False for _, ok in checks)
-    lines.append("verdict: " + ("all checks passed" if passed else "FAILURES above"))
-    payload = {"checks": [{"name": name, "status": status[ok].lower()}
-                          for name, ok in checks],
-               "passed": passed}
-    rc = _emit(args, code.spec, digest, payload, lines)
+    status = {True: "pass", False: "FAIL"}
+    lines = []
+    entries = []
+    for name, outcome in checks:
+        word = status.get(outcome, "skipped")
+        line = f"{word:>7}  {name}"
+        entry = {"name": name, "status": word.lower()}
+        if isinstance(outcome, str):
+            line += f" ({outcome})"
+            entry["reason"] = outcome
+        lines.append(line)
+        entries.append(entry)
+    passed = all(outcome is not False for _, outcome in checks)
+    skipped = sum(isinstance(outcome, str) for _, outcome in checks)
+    verdict = "all checks passed" if passed else "FAILURES above"
+    if skipped:
+        verdict = (f"{'no check failed' if passed else 'FAILURES above'}, "
+                   f"{skipped} of {len(checks)} skipped")
+    lines.append("verdict: " + verdict)
+    rc = _emit(args, code.spec, digest, {"checks": entries, "passed": passed}, lines)
     return rc if passed else 3
 
 
@@ -490,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--pair", action="store_true",
                     help="two generators with diagonal cross-Gramian instead")
-    _add_common(sp)
+    _add_common(sp, budget=False)
     sp.set_defaults(func=cmd_diag)
 
     sp = subs.add_parser("mindist", help="exact minimum distance")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._rows import row_kernels
 from .gf import FieldSpec
 from .matfq import MatrixFq, _matrix, check_form, vstack
 
@@ -137,36 +136,41 @@ def is_lcd(c: LinearCode, form: str = "euclidean") -> bool:
 
 
 def is_hull_maximal_so_in(c: LinearCode, form: str = "euclidean",
-                          side: str = "code", budget=None) -> bool:
+                          side: str = "code") -> bool:
     """Whether hull(C) is maximal self-orthogonal in C (side="code") or
     in the dual (side="dual").
 
-    Decided by codeword enumeration when q^k fits the budget: the hull
-    is maximal exactly when no codeword outside it is self-orthogonal,
-    i.e. when the number of x with <x, x> = 0 equals q^ell.  Out of
-    budget, k - ell <= 1 still certifies maximality; even-order fields
-    additionally satisfy the converse, so there the answer is always
-    available.  Odd order with k - ell >= 2 and no budget raises
-    BudgetExceeded.
+    The hull is maximal exactly when the form that C induces on C/hull
+    is anisotropic.  That form is nondegenerate of dimension r = rank S,
+    where S = G G^T (G G^dagger for the hermitian form), and over a
+    finite field it is anisotropic exactly when r <= 1, or when the form
+    is euclidean, q is odd, r = 2 and -det of the first nonsingular 2x2
+    principal block of S is a non-square.  Every other form has an
+    isotropic vector: a hermitian form of dimension 2 or more (the norm
+    onto the subfield is onto), a euclidean one in characteristic 2 of
+    dimension 2 or more (<x, x> is the square of the coordinate sum, so
+    additive) and any form of dimension 3 or more in odd characteristic
+    (Chevalley-Warning).  See Lidl and Niederreiter, Finite Fields,
+    chapter 6.
     """
     if side not in ("code", "dual"):
         raise ValueError(f"side must be 'code' or 'dual', got {side!r}")
     check_form(c.spec, form)
     if side == "dual":
-        d = dual(c, form)
-        if d is None:
+        c = dual(c, form)
+        if c is None:
             return True
-        c = d
-    ell = hull(c, form).ell
-    cap = resolve_budget(budget)
-    total = c.spec.q ** c.k
-    if total <= cap:
-        return _count_isotropic(c, form) == c.spec.q ** ell
-    if c.k - ell <= 1:
+    s = c.gen.gramian(form)
+    r = s.rank
+    if r <= 1:
         return True
-    if c.spec.p == 2:
+    spec = c.spec
+    if r > 2 or form == "hermitian" or spec.p == 2:
         return False
-    raise BudgetExceeded(total, cap, "maximality check (odd order, k - ell >= 2)")
+    mul, k = spec.mul, c.k
+    det = next(d for i in range(k) for j in range(i + 1, k)
+               if (d := spec.sub(mul(s[i, i], s[j, j]), mul(s[i, j], s[i, j]))))
+    return not spec.is_square(spec.neg(det))
 
 
 def min_distance(c: LinearCode, budget=None) -> int:
@@ -270,7 +274,3 @@ def _iter_codewords(spec: FieldSpec, rows):
                     c[t] = spec.add(c[t], dr[t])
         yield c
 
-
-def _count_isotropic(c: LinearCode, form: str) -> int:
-    inner = row_kernels(c.spec).inner(form)
-    return sum(not inner(w, w) for w in _iter_codewords(c.spec, c.gen.row_list()))

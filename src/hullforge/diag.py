@@ -14,6 +14,12 @@ is diagonal with all nonzero entries first:
 * ``pair_diagonal_generators`` - always available; relaxes the problem
   to two generator matrices G1, G2 of the code with G1 G2^T diagonal.
 
+The first two routes, and `find_anisotropic`, share one engine that
+never touches a row of length n: it works on coefficient rows e over
+the generator G, each carried with its image eS under the Gramian S of
+G, so that <eG, fG> is the inner product of eS and f, and it forms the
+new generator E @ G once at the end.
+
 Dual-side variants are obtained by applying the same operations to the
 dual code rather than through separate code paths.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rows import SpanTracker, row_kernels
+from ._rows import row_kernels
 from .codes import LinearCode, hull, is_hull_maximal_so_in
 from .gf import FieldSpec
 from .matfq import MatrixFq, _stack, check_form, dot, pair_reduce_diagonal
@@ -61,20 +67,67 @@ def _require_odd(spec: FieldSpec):
                          "2 = 0 would break it")
 
 
-def _find_anisotropic_rows(kz, rows, form):
-    """First basis row with nonzero self-product, then first pair
-    combination; None when every Gramian entry is zero.  Rows are
-    kernel rows of kz."""
-    inner = kz.inner(form)
-    for r in rows:
-        if inner(r, r):
-            return r
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            t = inner(rows[i], rows[j])
-            if t:
-                return kz.axpy(rows[i], 1 if form == "euclidean" else t, rows[j])
-    return None
+def _congruence(c: LinearCode, form: str, indices, pairs: bool):
+    """The engine of `diagonalize_odd` and `diagonalize_maximal_hull`.
+
+    Works on the coefficient rows of the generator rows with the given
+    indices: a row e stands for the codeword eG and is carried with its
+    image eS, S the Gramian of G under the form, so <eG, fG> is the
+    inner product of eS and f.  Each step takes as pivot v the first row
+    of nonzero self-product or, failing that and when pairs is true, the
+    first pair i < j of nonzero cross product t, combined as r_i + r_j
+    (euclidean) or r_i + t r_j (hermitian), both anisotropic in odd
+    characteristic.  It records v and <v, v>, projects the other rows
+    onto the orthogonal complement of v and drops the row that became
+    dependent, the pivot row or row j of a pair, so the rows stay
+    independent with no span tracking.
+
+    Returns (E, diagonal): the pivots followed by the rows left when no
+    pivot is found, and the self-products of the pivots.
+    """
+    spec = c.spec
+    kz = row_kernels(spec)
+    inner, axpy, neg, mul = kz.inner(form), kz.axpy, kz.neg, spec.mul
+    gram = c.gen.gramian(form)
+    rows = [(kz.pack([int(t == i) for t in range(c.k)]), kz.pack(gram.row(i)))
+            for i in indices]
+    pivots = []
+    diagonal = []
+    while rows:
+        dependent = next((i for i, (e, image) in enumerate(rows) if inner(image, e)), None)
+        if dependent is not None:
+            v, v_image = rows[dependent]
+        else:
+            pair = next(((i, j, t) for i in range(len(rows)) for j in range(i + 1, len(rows))
+                         if (t := inner(rows[i][1], rows[j][0]))), None) if pairs else None
+            if pair is None:
+                break
+            i, dependent, t = pair
+            s = 1 if form == "euclidean" else t
+            (e, image), (f, f_image) = rows[i], rows[dependent]
+            v, v_image = axpy(e, s, f), axpy(image, s, f_image)
+        nv = dot(spec, v_image, v, form)
+        pivots.append(v)
+        diagonal.append(nv)
+        inv_nv = spec.inv(nv)
+        projected = []
+        for i, (e, image) in enumerate(rows):
+            if i != dependent:
+                coef = neg(mul(inner(image, v), inv_nv))
+                if coef:
+                    e, image = axpy(e, coef, v), axpy(image, coef, v_image)
+                projected.append((e, image))
+        rows = projected
+    return pivots + [e for e, _ in rows], diagonal
+
+
+def _result(c: LinearCode, coefficients, diagonal, method):
+    """The result whose new generator is E @ G, E the coefficient rows;
+    rows past the diagonal given have self-product zero."""
+    new_gen = _stack(c.spec, coefficients, c.k) @ c.gen
+    zeros = (0,) * (c.k - len(diagonal))
+    return DiagonalizationResult(c, new_gen, tuple(diagonal) + zeros,
+                                 len(diagonal), method)
 
 
 def find_anisotropic(c: LinearCode, form: str = "euclidean"):
@@ -83,61 +136,26 @@ def find_anisotropic(c: LinearCode, form: str = "euclidean"):
     Deterministic: scans generator rows by index, then row pairs
     lexicographically, combining an isotropic pair u, w with nonzero
     cross product into u + w (euclidean) or u + <u, w>_H w (hermitian),
-    either of which is anisotropic in odd characteristic.
+    either of which is anisotropic in odd characteristic.  This is the
+    first pivot of `diagonalize_odd`, whose first row it returns.
     """
-    check_form(c.spec, form)
-    _require_odd(c.spec)
-    kz = row_kernels(c.spec)
-    v = _find_anisotropic_rows(kz, [kz.pack(r) for r in c.gen.row_list()], form)
-    return None if v is None else tuple(v)
-
-
-def _independent_subset(spec, rows, expected):
-    """Greedy maximal independent subset of rows, in order."""
-    tracker = SpanTracker(spec)
-    kept = [row for row in rows if tracker.absorb(row)]
-    if len(kept) != expected:
-        raise RuntimeError(f"projection produced rank {len(kept)}, "
-                           f"expected {expected}")
-    return kept
+    res = diagonalize_odd(c, form)
+    return res.new_gen.row(0) if res.nonzero_count else None
 
 
 def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationResult:
     """Diagonal-Gramian generator matrix over odd characteristic.
 
-    Repeatedly takes an anisotropic v, records <v, v> on the diagonal,
-    and replaces the working basis with its projection onto
-    {w : <w, v> = 0}; the loop ends when the residue is self-orthogonal,
-    contributing the zero tail of the diagonal.
+    Repeatedly takes an anisotropic v (`find_anisotropic`'s rule on the
+    working rows), records <v, v> on the diagonal, and replaces the
+    working rows with their projections onto {w : <w, v> = 0}, less the
+    one that became dependent; the loop ends when the residue is
+    self-orthogonal, contributing the zero tail of the diagonal.
     """
-    spec = c.spec
-    check_form(spec, form)
-    _require_odd(spec)
-    kz = row_kernels(spec)
-    inner, axpy, neg, mul = kz.inner(form), kz.axpy, kz.neg, spec.mul
-    rows = [kz.pack(r) for r in c.gen.row_list()]
-    aniso = []
-    diagonal = []
-    while rows:
-        v = _find_anisotropic_rows(kz, rows, form)
-        if v is None:
-            break
-        nv = dot(spec, v, v, form)
-        aniso.append(v)
-        diagonal.append(nv)
-        inv_nv = spec.inv(nv)
-        projected = []
-        for w in rows:
-            coef = mul(inner(w, v), inv_nv)
-            p = axpy(w, neg(coef), v) if coef else w
-            if any(p):
-                projected.append(p)
-        rows = _independent_subset(spec, projected, len(rows) - 1)
-    new_rows = aniso + rows
-    diagonal += [0] * len(rows)
-    new_gen = _stack(spec, new_rows, c.n)
-    return DiagonalizationResult(c, new_gen, tuple(diagonal), len(aniso),
-                                 "odd-induction")
+    check_form(c.spec, form)
+    _require_odd(c.spec)
+    rows, diagonal = _congruence(c, form, range(c.k), True)
+    return _result(c, rows, diagonal, "odd-induction")
 
 
 def orthogonal_basis_lcd(c: LinearCode, form: str = "euclidean"):
@@ -156,60 +174,38 @@ def orthogonal_basis_lcd(c: LinearCode, form: str = "euclidean"):
     return result.new_gen.row_list()
 
 
-def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean",
-                             budget=None) -> DiagonalizationResult:
+def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean") -> DiagonalizationResult:
     """Diagonal-Gramian generator when the hull is maximal in the code.
 
-    The generator is the hull basis preceded by a Gram-Schmidt
-    orthogonalization of a complement; maximality guarantees every
+    The generator is a Gram-Schmidt orthogonalization of a complement of
+    the hull followed by the hull basis; maximality guarantees every
     complement vector has nonzero self-product, so each division is
-    defined.  This is the route available in characteristic 2.
+    defined.  The complement is the greedy one: the generator rows, in
+    order, that are independent of the hull and of the rows taken before
+    them.  This is the route available in characteristic 2.
     """
     spec = c.spec
     check_form(spec, form)
-    if not is_hull_maximal_so_in(c, form, "code", budget):
+    if not is_hull_maximal_so_in(c, form):
         raise HullNotMaximalError(
             "hull is not maximal self-orthogonal in the code; "
             "no diagonal Gramian is certified")
     report = hull(c, form)
-    kz = row_kernels(spec)
-    hull_rows = [] if report.hull is None else [kz.pack(r) for r in report.hull.gen.row_list()]
-
-    inner, axpy, neg = kz.inner(form), kz.axpy, kz.neg
-    mul, inv = spec.mul, spec.inv
-    # Extend the hull basis to a basis of C, greedily and in row order.
-    tracker = SpanTracker(spec)
-    for row in hull_rows:
-        tracker.absorb(row)
-    complement = []
-    for row in c.gen.row_list():
-        if tracker.absorb(row):
-            complement.append(kz.pack(row))
-        if tracker.rank == c.k:
-            break
-    if len(hull_rows) + len(complement) != c.k:
-        raise RuntimeError("failed to extend the hull basis to the code")
-
-    ortho = []
-    diagonal = []
-    for t in complement:
-        u = t
-        for r, rr in zip(ortho, diagonal):
-            coef = mul(inner(u, r), inv(rr))
-            if coef:
-                u = axpy(u, neg(coef), r)
-        selfdot = dot(spec, u, u, form)
-        if selfdot == 0:
-            raise RuntimeError("complement vector became isotropic despite "
-                               "a maximal hull; this should be impossible")
-        ortho.append(u)
-        diagonal.append(selfdot)
-
-    new_rows = ortho + hull_rows
-    diagonal += [0] * len(hull_rows)
-    new_gen = _stack(spec, new_rows, c.n)
-    return DiagonalizationResult(c, new_gen, tuple(diagonal), len(ortho),
-                                 "maximal-hull-gs")
+    # G is in rref, so a codeword's coefficients over G are its entries
+    # at the columns where the rows of G have their leading 1.
+    lead = [row.index(1) for row in c.gen.row_list()]
+    hull_rows = [] if report.hull is None else [
+        [row[j] for j in lead] for row in report.hull.gen.row_list()]
+    # The pivot columns of [hull; I_k]^T are its rows that are independent
+    # of the rows before them.
+    units = [[int(t == i) for t in range(c.k)] for i in range(c.k)]
+    _, independent, _ = _stack(spec, hull_rows + units, c.k).transpose().rref()
+    complement = [i - report.ell for i in independent[report.ell:]]
+    rows, diagonal = _congruence(c, form, complement, False)
+    if len(diagonal) < len(rows):
+        raise RuntimeError("complement vector became isotropic despite "
+                           "a maximal hull; this should be impossible")
+    return _result(c, rows + hull_rows, diagonal, "maximal-hull-gs")
 
 
 def pair_diagonal_generators(c: LinearCode, form: str = "euclidean"):

@@ -234,6 +234,30 @@ def test_criterion_06_maximal_hull_diagonalization(exhaustive_even_char):
     _report(6, f"({count} diagonalizations)")
 
 
+def test_closed_form_maximality_matches_enumeration(exhaustive_even_char):
+    """`is_hull_maximal_so_in` decides from rank S in closed form, and
+    criterion 05 restates that rule for even q, so the rule is checked
+    here against the brute-force oracle: on criterion 05's exhaustive
+    set, and on seeded random odd-order codes, where r = 2 is decided by
+    the square class of -det."""
+    for c, form, ell, maximal in exhaustive_even_char:
+        assert maximal == oracle.maximal_so_by_enumeration(c, form), (c, form)
+    rank_two = set()
+    rng = random.Random(505)
+    for spec in (FIELDS[3], FIELDS[5], FIELDS[7], FIELDS[9], make_field(5, 2)):
+        forms = ("euclidean", "hermitian") if spec.m == 2 else ("euclidean",)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            k = rng.randint(2, min(n, 3 if spec.q <= 9 else 2))
+            c = random_code(spec, n, k, rng.randrange(2 ** 30))
+            for form in forms:
+                maximal = is_hull_maximal_so_in(c, form)
+                assert maximal == oracle.maximal_so_by_enumeration(c, form), (c, form)
+                if form == "euclidean" and c.gen.gramian(form).rank == 2:
+                    rank_two.add(maximal)
+    assert rank_two == {True, False}
+
+
 # ----------------------------------------------------------------------
 # 7. Base parameters on the distance-3 fixture
 # ----------------------------------------------------------------------

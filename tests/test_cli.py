@@ -126,6 +126,38 @@ def test_verify_all_fixtures_exit_zero(capsys, fixtures_dir):
         assert "all checks passed" in out
 
 
+def test_verify_names_why_it_skipped(capsys, fixtures_dir, tmp_path):
+    rand = str(fixtures_dir / "rand633.code")
+    rc, out, _ = run(capsys, "verify", rand, "--budget", "1")
+    assert rc == 0
+    lines = out.splitlines()
+    for name in ("hull-vs-enumeration", "min-distance-agreement",
+                 "maximality-agreement"):
+        assert f"skipped  {name} (needs 27 codewords, cap 1)" in lines
+    assert lines[-1] == "verdict: no check failed, 3 of 8 skipped"
+    rc, out, _ = run(capsys, "verify", rand, "--budget", "1", "--json")
+    checks = json.loads(out)["result"]["checks"]
+    assert rc == 0
+    assert [c.get("reason") for c in checks if c["status"] == "skipped"] \
+        == ["needs 27 codewords, cap 1"] * 3
+    assert all("reason" not in c for c in checks if c["status"] != "skipped")
+    # characteristic 2 without a maximal hull: no diagonalization to check
+    full = tmp_path / "full22.code"
+    full.write_text("2 1 2 2\n1 0\n0 1\n")
+    rc, out, _ = run(capsys, "verify", str(full))
+    assert rc == 0
+    assert "skipped  diagonalization (hull not maximal)" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: no check failed, 1 of 8 skipped"
+
+
+def test_diag_takes_no_budget(capsys, fixtures_dir):
+    """Maximality is decided in closed form, so diag enumerates nothing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diag", str(fixtures_dir / "hamming74.code"), "--budget", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_diag_refusal_exit_1(capsys, tmp_path):
     bad = tmp_path / "full22.code"
     bad.write_text("2 1 2 2\n1 0\n0 1\n")
@@ -230,6 +262,9 @@ def test_golden_outputs(capsys, fixtures_dir):
         "field-info.json": ["field-info", "fixtures/hamming74.code", "--json"],
         "hull_hamming74.json": ["hull", "fixtures/hamming74.code", "--json"],
         "diag_ext635.json": ["diag", "fixtures/ext635.code", "--json"],
+        "diag_hamming74.json": ["diag", "fixtures/hamming74.code", "--json"],
+        "diag_herm42gf4_hermitian.json": ["diag", "fixtures/herm42gf4.code",
+                                          "--form", "hermitian", "--json"],
         "mindist_hamming74.json": ["mindist", "fixtures/hamming74.code", "--json"],
         "eaqecc-base_hamming74.json": ["eaqecc-base", "fixtures/hamming74.code", "--json"],
         "eaqecc-extend_ext635.json": ["eaqecc-extend", "fixtures/ext635.code",

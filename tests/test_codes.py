@@ -1,5 +1,6 @@
 import pytest
 
+from hullforge import oracle
 from hullforge.codes import (BudgetExceeded, dual, hull,
                              hull_dimension_via_gramian, is_hull_maximal_so_in,
                              is_lcd, is_self_orthogonal, make_code,
@@ -171,16 +172,14 @@ def test_maximality_dual_side():
         is_hull_maximal_so_in(c, side="both")
 
 
-def test_maximality_budget_paths():
-    # odd characteristic, k - ell >= 2 and out of budget: undecidable
+def test_maximality_exact_where_a_budget_once_refused():
+    # odd characteristic with k - ell >= 2, once refused out of budget
     c = random_code(F3, 6, 3, 0)
-    assert hull(c).ell <= 1
-    if c.k - hull(c).ell >= 2:
-        with pytest.raises(BudgetExceeded):
-            is_hull_maximal_so_in(c, budget=2)
-    # even characteristic falls back to the k - ell <= 1 rule
+    assert c.k - hull(c).ell >= 2
+    assert is_hull_maximal_so_in(c) == oracle.maximal_so_by_enumeration(c)
+    # even characteristic, once answered by the k - ell <= 1 fallback
     big = code(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    assert is_hull_maximal_so_in(big, budget=2) is False
+    assert is_hull_maximal_so_in(big) is oracle.maximal_so_by_enumeration(big) is False
 
 
 # ---------------------------------------------------------------

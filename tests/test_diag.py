@@ -1,6 +1,12 @@
-import pytest
+import random
+from functools import lru_cache
 
-from hullforge.codes import hull, is_lcd, make_code, random_code
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hullforge.codes import (hull, is_hull_maximal_so_in, is_lcd, make_code,
+                             random_code)
 from hullforge.diag import (HullNotMaximalError, NotLcdError,
                             diagonalize_maximal_hull, diagonalize_odd,
                             find_anisotropic, orthogonal_basis_lcd,
@@ -105,6 +111,20 @@ def test_diagonalize_odd_random(spec, form, n, k):
     for seed in range(8):
         res = diagonalize_odd(random_code(spec, n, k, seed), form)
         assert_diagonal_result(res, form)
+
+
+def test_diagonalize_odd_pair_pivots_pinned():
+    # every generator row is isotropic, so each step combines a pair
+    # r_i + s r_j; the projection of r_j is the row dropped, so these
+    # exact rows pin which one
+    c = code(F5, [[1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2]])
+    res = diagonalize_odd(c)
+    assert res.new_gen.row_list() == [(1, 1, 0, 4), (3, 2, 0, 0), (4, 4, 1, 3)]
+    assert res.diagonal == (3, 3, 2)
+    c = code(F9, [[1, 0, 0, 4], [0, 1, 0, 4], [0, 0, 1, 4]])
+    res = diagonalize_odd(c, "hermitian")
+    assert res.new_gen.row_list() == [(1, 2, 0, 0), (2, 2, 0, 4), (2, 2, 1, 8)]
+    assert res.diagonal == (2, 1, 2)
 
 
 def test_diagonalize_odd_refuses_even_characteristic():
@@ -232,3 +252,117 @@ def test_pair_diagonal_already_diagonal():
 def test_pair_diagonal_random(spec, form):
     for seed in range(8):
         check_pair(random_code(spec, 6, 3, seed), form)
+
+
+# ---------------------------------------------------------------
+# properties beyond the small fields: lane-core and prime-list rows
+# ---------------------------------------------------------------
+
+def _field_forms(pms):
+    return [(spec, form) for spec in (make_field(p, m) for p, m in pms)
+            for form in ("euclidean", "hermitian")
+            if form == "euclidean" or spec.subfield_order is not None]
+
+
+# GF(3), GF(49), GF(3^6), GF(251^2) and GF(257); GF(2), GF(256), GF(2^9)
+ODD_CASES = _field_forms([(3, 1), (7, 2), (3, 6), (251, 2), (257, 1)])
+EVEN_CASES = _field_forms([(2, 1), (2, 8), (2, 9)])
+SHAPES = ("random", "k=1", "k=n", "self-orthogonal", "pair", "hull+1")
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@lru_cache(maxsize=None)
+def isotropic_scalars(spec, form):
+    """(b, c) with 1 + <b, b> + <c, c> = 0 in one coordinate, so that
+    rows [a | b*a | c*a] span a self-orthogonal code for any rows a."""
+    if form == "euclidean":
+        def norm(x):
+            return spec.mul(x, x)
+    else:
+        def norm(x):
+            return spec.mul(x, spec.conjugate(x))
+    first = {}
+    for x in range(min(spec.q, 4096)):
+        first.setdefault(norm(x), x)
+    for b in range(spec.q):
+        c = first.get(spec.sub(spec.neg(1), norm(b)))
+        if c is not None:
+            return b, c
+    raise AssertionError("no isotropic scalars found")
+
+
+def shaped_code(spec, form, shape, rng):
+    """A small code of the given shape:
+
+    * random: a random [n, k] code;
+    * k=1 and k=n: one random row, or the whole space;
+    * self-orthogonal: rows [a | b*a | c*a] (see `isotropic_scalars`);
+    * pair: rows [e_i | b | c], each isotropic, with cross products -1,
+      so the first pivot of `diagonalize_odd` is a pair;
+    * hull+1: the hull of a random code plus one of its rows, whose
+      Gramian has rank at most 1, so the hull is maximal.
+    """
+    n = rng.randint(1, 6)
+    if shape == "random":
+        return random_code(spec, n, rng.randint(1, n), rng.randrange(2 ** 30))
+    if shape == "k=1":
+        row = [rng.randrange(spec.q) for _ in range(n)]
+        row[rng.randrange(n)] = rng.randrange(1, spec.q)
+        return code(spec, [row])
+    if shape == "k=n":
+        return make_code(spec, MatrixFq.identity(spec, n))
+    b, c = isotropic_scalars(spec, form)
+    if shape == "self-orthogonal":
+        h = rng.randint(1, 3)
+        a = [[rng.randrange(spec.q) for _ in range(h)] for _ in range(rng.randint(1, h))]
+        a[0][0] = 1
+        return code(spec, [r + [spec.mul(b, x) for x in r] + [spec.mul(c, x) for x in r]
+                           for r in a])
+    if shape == "pair":
+        k = rng.randint(2, 5)
+        return code(spec, [[int(t == i) for t in range(k)] + [b, c] for i in range(k)])
+    base = random_code(spec, n, rng.randint(1, n), rng.randrange(2 ** 30))
+    rep = hull(base, form)
+    rows = [] if rep.hull is None else rep.hull.gen.row_list()
+    return code(spec, rows + [base.gen.row(rng.randrange(base.k))])
+
+
+@PROPERTY
+@given(st.sampled_from(ODD_CASES), st.sampled_from(SHAPES), st.integers(0, 2 ** 32))
+def test_diagonalize_odd_property(case, shape, seed):
+    spec, form = case
+    c = shaped_code(spec, form, shape, random.Random(seed))
+    res = diagonalize_odd(c, form)
+    assert_diagonal_result(res, form)
+    if shape == "self-orthogonal":
+        assert res.nonzero_count == 0 and res.new_gen == c.gen
+    if shape == "k=n":
+        assert res.nonzero_count == c.k
+    if shape == "pair":
+        v = find_anisotropic(c, form)
+        rows = c.gen.row_list()
+        assert all(not dot(spec, r, r, form) for r in rows)
+        assert v not in rows and dot(spec, v, v, form)
+
+
+@PROPERTY
+@given(st.sampled_from(EVEN_CASES), st.sampled_from(SHAPES), st.integers(0, 2 ** 32))
+def test_diagonalize_maximal_hull_property(case, shape, seed):
+    spec, form = case
+    c = shaped_code(spec, form, shape, random.Random(seed))
+    maximal = is_hull_maximal_so_in(c, form)
+    # characteristic 2: maximal exactly when k - ell <= 1
+    assert maximal == (c.k - hull(c, form).ell <= 1)
+    if shape in ("k=1", "self-orthogonal", "hull+1"):
+        assert maximal
+    if not maximal:
+        with pytest.raises(HullNotMaximalError):
+            diagonalize_maximal_hull(c, form)
+        return
+    res = diagonalize_maximal_hull(c, form)
+    assert res.method == "maximal-hull-gs"
+    assert_diagonal_result(res, form)
+    # the hull basis closes the new generator, unchanged
+    rep = hull(c, form)
+    if rep.hull is not None:
+        assert res.new_gen.row_list()[res.nonzero_count:] == rep.hull.gen.row_list()

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from . import __version__, oracle
 from .codes import (BudgetExceeded, HullReport, LinearCode, dual, hull,
-                    hull_dimension_via_gramian, is_hull_maximal_so_in,
-                    make_code, min_distance, random_invertible, resolve_budget)
+                    is_hull_maximal_so_in, make_code, min_distance,
+                    random_invertible, resolve_budget)
 from .diag import (DiagonalizationResult, HullNotMaximalError, NotLcdError,
                    diagonalize_maximal_hull, diagonalize_odd,
                    pair_diagonal_generators)
@@ -27,7 +27,7 @@ from .eaqecc import (EaqeccRecord, ExtensionCertificate,
                      ExtensionVerificationError, base_params,
                      extend_euclidean, extend_hermitian)
 from .gf import FieldSpec, make_field, modulus_str
-from .matfq import MatrixFq, row_space_equal
+from .matfq import MatrixFq, row_space_equal, vstack
 
 BUDGET_ENV = "HULLFORGE_BUDGET"
 
@@ -38,8 +38,18 @@ class CodeFileError(ValueError):
 
 # ----------------------------------------------------------------------
 # Code file format: line 1 is `p m n k`, then k rows of n element codes.
-# '#' starts a comment; blank lines are ignored.
+# '#' starts a comment; blank lines are ignored; numbers are ASCII digits.
 # ----------------------------------------------------------------------
+
+def _numbers(tokens, where: str) -> list:
+    for t in tokens:
+        if not (t.isascii() and t.isdigit()):
+            raise CodeFileError(f"{where}: {t!r} is not a number of ASCII digits")
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as e:              # more digits than int() converts
+        raise CodeFileError(f"{where}: {e}") from None
+
 
 def parse_code_file(text: str) -> LinearCode:
     lines = []
@@ -52,10 +62,7 @@ def parse_code_file(text: str) -> LinearCode:
     header = lines[0].split()
     if len(header) != 4:
         raise CodeFileError(f"header must be 'p m n k', got {lines[0]!r}")
-    try:
-        p, m, n, k = (int(t) for t in header)
-    except ValueError:
-        raise CodeFileError(f"non-integer header field in {lines[0]!r}") from None
+    p, m, n, k = _numbers(header, f"header {lines[0]!r}")
     try:
         spec = make_field(p, m)
     except ValueError as e:
@@ -70,10 +77,7 @@ def parse_code_file(text: str) -> LinearCode:
         tokens = line.split()
         if len(tokens) != n:
             raise CodeFileError(f"row {idx}: expected {n} entries, found {len(tokens)}")
-        try:
-            row = [int(t) for t in tokens]
-        except ValueError:
-            raise CodeFileError(f"row {idx}: non-integer entry") from None
+        row = _numbers(tokens, f"row {idx}")
         for e in row:
             if not 0 <= e < spec.q:
                 raise CodeFileError(f"row {idx}: entry {e} out of range [0, {spec.q})")
@@ -380,8 +384,10 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
 
     rep = hull(code, form)
     checks.append(("hull-gramian-consistency", rep.consistent))
-    checks.append(("gramian-shortcut-agreement",
-                   hull_dimension_via_gramian(code, form) == rep.ell))
+    # Against the dual of C + dual(C), which never forms the Gramian.
+    d = dual(code, form)
+    by_sum = None if d is None else dual(make_code(spec, vstack(code.gen, d.gen)), form)
+    checks.append(("gramian-shortcut-agreement", rep.hull == by_sum))
 
     if q ** code.k <= budget:
         hull_set, oracle_ell = oracle.hull_by_enumeration(code, form, budget)
@@ -394,7 +400,6 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
                        is_hull_maximal_so_in(code, form)
                        == oracle.maximal_so_by_enumeration(code, form, budget)))
     else:
-        d = dual(code, form)
         if d is None:
             checks.append(("hull-vs-enumeration", rep.ell == 0))
         elif q ** d.k <= budget:

@@ -4,7 +4,8 @@ A LinearCode is held as its canonical generator matrix (reduced row
 echelon form with zero rows removed), so two equal codes compare equal.
 The zero code is never a LinearCode; operations that can produce it
 (duals of the full space, hulls of complementary-dual codes) return
-None instead.
+None instead.  The hull is read off the k x k Gramian S = G G^T
+(G G^dagger, hermitian) of the generator G as {xG : xS = 0}.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .gf import FieldSpec
-from .matfq import MatrixFq, _matrix, check_form, vstack
+from .matfq import MatrixFq, _matrix, check_form
 
 # Cap on q^k for any codeword enumeration; shared by the brute-force
 # reference module.
@@ -54,9 +55,9 @@ class LinearCode:
 class HullReport:
     """The hull of a code together with the Gramian-rank cross-check.
 
-    ell is the hull dimension; hull is None when ell == 0.  consistent
-    records whether rank(G G^T) == k - ell and rank(H H^T) == n - k - ell
-    (conjugate-transpose Gramians for the hermitian form).
+    ell is the hull dimension, hull None when ell == 0, and gramian_rank_g
+    = rank(G G^T) = k - ell.  consistent checks rank(H H^T) == n - k - ell
+    for the dual's generator H (conjugate transposes for the hermitian form).
     """
     form: str
     hull: LinearCode | None
@@ -95,28 +96,27 @@ def dual(c: LinearCode, form: str = "euclidean") -> LinearCode | None:
 
 
 def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
-    """The hull C intersect dual(C), computed as the dual of their sum."""
+    """The hull C intersect dual(C), read off the Gramian S: {xG : xS = 0}."""
     return _hull_and_dual(c, form)[0]
+
+
+def _hull_rows(s: MatrixFq) -> MatrixFq:
+    """The hull's coefficient rows over G, in rref: the x with xS = 0."""
+    return s.transpose().kernel().rref()[0]
 
 
 def _hull_and_dual(c: LinearCode, form: str):
     """`hull(c, form)` together with the dual code it computed on the way
     (None for the zero dual), for callers that need both."""
     check_form(c.spec, form)
+    x = _hull_rows(c.gen.gramian(form))
+    ell = x.rows
+    # G is in rref, so X @ G is too: the hull's canonical generator.
+    hull_code = LinearCode(c.spec, c.n, ell, x @ c.gen) if ell else None
     d = dual(c, form)
-    if d is None:
-        hull_code = None
-        parity_gramian_rank = 0
-    else:
-        total = make_code(c.spec, vstack(c.gen, d.gen))
-        hull_code = dual(total, form)
-        parity_gramian_rank = d.gen.gramian(form).rank
-    ell = 0 if hull_code is None else hull_code.k
-    gen_gramian_rank = c.gen.gramian(form).rank
-    consistent = (gen_gramian_rank == c.k - ell
-                  and parity_gramian_rank == c.n - c.k - ell)
-    return HullReport(form, hull_code, ell, gen_gramian_rank,
-                      parity_gramian_rank, consistent), d
+    parity_gramian_rank = 0 if d is None else d.gen.gramian(form).rank
+    return HullReport(form, hull_code, ell, c.k - ell, parity_gramian_rank,
+                      parity_gramian_rank == c.n - c.k - ell), d
 
 
 def hull_dimension_via_gramian(c: LinearCode, form: str = "euclidean") -> int:
@@ -161,13 +161,17 @@ def is_hull_maximal_so_in(c: LinearCode, form: str = "euclidean",
         if c is None:
             return True
     s = c.gen.gramian(form)
-    r = s.rank
+    return _is_maximal(s, s.rank, form)
+
+
+def _is_maximal(s: MatrixFq, r: int, form: str) -> bool:
+    """`is_hull_maximal_so_in` on the Gramian s, of rank r, of a generator."""
     if r <= 1:
         return True
-    spec = c.spec
+    spec = s.spec
     if r > 2 or form == "hermitian" or spec.p == 2:
         return False
-    mul, k = spec.mul, c.k
+    mul, k = spec.mul, s.rows
     det = next(d for i in range(k) for j in range(i + 1, k)
                if (d := spec.sub(mul(s[i, i], s[j, j]), mul(s[i, j], s[i, j]))))
     return not spec.is_square(spec.neg(det))

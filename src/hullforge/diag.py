@@ -16,9 +16,9 @@ is diagonal with all nonzero entries first:
 
 The first two routes, and `find_anisotropic`, share one engine that
 never touches a row of length n: it works on coefficient rows e over
-the generator G, each carried with its image eS under the Gramian S of
-G, so that <eG, fG> is the inner product of eS and f, and it forms the
-new generator E @ G once at the end.
+G, each carried with eS, S the Gramian of G computed once per call, so
+that <eG, fG> = <eS, f>; it forms E @ G once at the end.  The hull,
+{xG : xS = 0}, and its maximality are read off the same S.
 
 Dual-side variants are obtained by applying the same operations to the
 dual code rather than through separate code paths.
@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._rows import row_kernels
-from .codes import LinearCode, hull, is_hull_maximal_so_in
-from .gf import FieldSpec
+# hull has no use here, but bench/test_bench.py reads it as diag.hull.
+from .codes import LinearCode, _hull_rows, _is_maximal, hull  # noqa: F401
 from .matfq import MatrixFq, _stack, check_form, dot, pair_reduce_diagonal
 
 
@@ -61,18 +61,12 @@ class DiagonalizationResult:
     method: str
 
 
-def _require_odd(spec: FieldSpec):
-    if spec.p == 2:
-        raise ValueError("this construction needs odd characteristic; "
-                         "2 = 0 would break it")
-
-
-def _congruence(c: LinearCode, form: str, indices, pairs: bool):
+def _congruence(c: LinearCode, form: str, gram: MatrixFq, indices, pairs: bool):
     """The engine of `diagonalize_odd` and `diagonalize_maximal_hull`.
 
     Works on the coefficient rows of the generator rows with the given
     indices: a row e stands for the codeword eG and is carried with its
-    image eS, S the Gramian of G under the form, so <eG, fG> is the
+    image eS, S = gram the Gramian of G under the form, so <eG, fG> is the
     inner product of eS and f.  Each step takes as pivot v the first row
     of nonzero self-product or, failing that and when pairs is true, the
     first pair i < j of nonzero cross product t, combined as r_i + r_j
@@ -88,7 +82,6 @@ def _congruence(c: LinearCode, form: str, indices, pairs: bool):
     spec = c.spec
     kz = row_kernels(spec)
     inner, axpy, neg, mul = kz.inner(form), kz.axpy, kz.neg, spec.mul
-    gram = c.gen.gramian(form)
     rows = [(kz.pack([int(t == i) for t in range(c.k)]), kz.pack(gram.row(i)))
             for i in indices]
     pivots = []
@@ -153,8 +146,10 @@ def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationRe
     self-orthogonal, contributing the zero tail of the diagonal.
     """
     check_form(c.spec, form)
-    _require_odd(c.spec)
-    rows, diagonal = _congruence(c, form, range(c.k), True)
+    if c.spec.p == 2:
+        raise ValueError("this construction needs odd characteristic; "
+                         "2 = 0 would break it")
+    rows, diagonal = _congruence(c, form, c.gen.gramian(form), range(c.k), True)
     return _result(c, rows, diagonal, "odd-induction")
 
 
@@ -164,13 +159,9 @@ def orthogonal_basis_lcd(c: LinearCode, form: str = "euclidean"):
     Raises NotLcdError carrying the hull dimension when the code is not
     complementary dual; such a basis cannot exist then.
     """
-    spec = c.spec
-    check_form(spec, form)
-    _require_odd(spec)
-    ell = c.k - c.gen.gramian(form).rank
-    if ell:
-        raise NotLcdError(ell)
     result = diagonalize_odd(c, form)
+    if result.nonzero_count < c.k:
+        raise NotLcdError(c.k - result.nonzero_count)
     return result.new_gen.row_list()
 
 
@@ -184,24 +175,20 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean") -> Diagonal
     order, that are independent of the hull and of the rows taken before
     them.  This is the route available in characteristic 2.
     """
-    spec = c.spec
-    check_form(spec, form)
-    if not is_hull_maximal_so_in(c, form):
+    check_form(c.spec, form)
+    gram = c.gen.gramian(form)
+    hull_rows = _hull_rows(gram).row_list()
+    ell = len(hull_rows)
+    if not _is_maximal(gram, c.k - ell, form):
         raise HullNotMaximalError(
             "hull is not maximal self-orthogonal in the code; "
             "no diagonal Gramian is certified")
-    report = hull(c, form)
-    # G is in rref, so a codeword's coefficients over G are its entries
-    # at the columns where the rows of G have their leading 1.
-    lead = [row.index(1) for row in c.gen.row_list()]
-    hull_rows = [] if report.hull is None else [
-        [row[j] for j in lead] for row in report.hull.gen.row_list()]
     # The pivot columns of [hull; I_k]^T are its rows that are independent
     # of the rows before them.
     units = [[int(t == i) for t in range(c.k)] for i in range(c.k)]
-    _, independent, _ = _stack(spec, hull_rows + units, c.k).transpose().rref()
-    complement = [i - report.ell for i in independent[report.ell:]]
-    rows, diagonal = _congruence(c, form, complement, False)
+    _, independent, _ = _stack(c.spec, hull_rows + units, c.k).transpose().rref()
+    complement = [i - ell for i in independent[ell:]]
+    rows, diagonal = _congruence(c, form, gram, complement, False)
     if len(diagonal) < len(rows):
         raise RuntimeError("complement vector became isotropic despite "
                            "a maximal hull; this should be impossible")

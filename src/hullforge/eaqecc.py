@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (BudgetExceeded, LinearCode, _hull_and_dual, hull,
+from .codes import (BudgetExceeded, LinearCode, _hull_and_dual, dual, hull,
                     make_code, min_distance)
 from .diag import diagonalize_odd
 from .matfq import _stack, check_form, dot
@@ -125,13 +125,11 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
 def _build_extension(code: LinearCode, r: int, form: str, budget):
     """Shared body of the euclidean and hermitian extensions."""
     spec = code.spec
-    report, dual_code = _hull_and_dual(code, form)
-    ell = report.ell
+    diag_result = diagonalize_odd(code, form)
     n, k = code.n, code.k
+    ell = k - diag_result.nonzero_count
     if not 0 <= r <= k - ell:
         raise ValueError(f"extension length r={r} outside [0, {k - ell}]")
-
-    diag_result = diagonalize_odd(code, form)
     xs = [tuple(diag_result.new_gen.row(i)) for i in range(k - ell)]
 
     hermitian = form == "hermitian"
@@ -153,6 +151,7 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
                 f"no admissible alpha for extension row {i}")
         alphas.append(alpha)
 
+    dual_code = dual(code, form)
     h_rows = [] if dual_code is None else dual_code.gen.row_list()
     hp_rows = [[0] * r + list(row) for row in h_rows]
     for i in range(r):

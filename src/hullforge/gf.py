@@ -413,10 +413,13 @@ class FieldSpec:
                  "_core", "_wide")
 
     def __init__(self, p: int, m: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree m={m} must be >= 1")
+        # Before the trial division and the power, slow for a huge p or m.
+        if isinstance(p, int) and (p > ORDER_LIMIT or m >= ORDER_LIMIT.bit_length()):
+            raise ValueError(f"field order {p}^{m} exceeds the cap {ORDER_LIMIT}")
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         q = p ** m
         if q > ORDER_LIMIT:
             raise ValueError(f"field order {p}^{m} exceeds the cap {ORDER_LIMIT}")

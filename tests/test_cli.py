@@ -1,16 +1,39 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hullforge import cli
 from hullforge.codes import hull, make_code, random_code
-from hullforge.diag import diagonalize_odd
-from hullforge.eaqecc import base_params, extend_euclidean
+from hullforge.diag import (HullNotMaximalError, diagonalize_maximal_hull,
+                            diagonalize_odd)
+from hullforge.eaqecc import base_params, extend_euclidean, extend_hermitian
 from hullforge.gf import make_field
 from hullforge.matfq import MatrixFq
 
 F2 = make_field(2, 1)
 F5 = make_field(5, 1)
+
+# Every field with q <= 9, and GF(17^2), which has no tables.
+ROUNDTRIP_FIELDS = [make_field(p, m) for p, m in
+                    [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (17, 2)]]
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def codes_and_forms(draw):
+    """A random [n, k] code, k = n included (zero dual, hull None), with
+    a form it supports."""
+    spec = draw(st.sampled_from(ROUNDTRIP_FIELDS))
+    forms = ("euclidean", "hermitian") if spec.subfield_order else ("euclidean",)
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    return random_code(spec, n, k, draw(st.integers(0, 2 ** 30))), draw(st.sampled_from(forms))
+
+
+def roundtrip(to_json, obj):
+    return json.loads(cli.dumps(to_json(obj)))
 
 
 def run(capsys, *argv):
@@ -63,15 +86,51 @@ def test_parse_rank_deficiency_names_rows():
     "2 1 3 1\n1 2 1",                    # entry out of range
     "2 1 3 2\n1 1 1",                    # missing row
     "2 1 0 0\n",                         # n = 0
+    "2305843009213693951 1 3 1\n1 1 1",  # prime p over the order cap
+    "3 100000000 3 1\n1 1 1",            # m over the order cap
+    # numbers are ASCII digits only
+    "2 1 3 1\n\u0661 1 1",                # an Arabic-Indic 1
+    "2 1 3 1\n+1 1 1",
+    "11 1 3 1\n1_0 1 1",
+    "\u0662 1 3 1\n1 1 1",
+    "-2 1 3 1\n1 1 1",
+    "2 1 3 1\n\uff11 1 1",                # a fullwidth 1
+    # more digits than int() converts
+    pytest.param("2 1 3 1\n" + "1" * 5000 + " 1 1", id="5000-digit-entry"),
+    pytest.param("1" * 5000 + " 1 3 1\n1 1 1", id="5000-digit-header"),
 ])
 def test_parse_errors(text):
     with pytest.raises(cli.CodeFileError):
         cli.parse_code_file(text)
 
 
-def test_format_roundtrip():
-    c = random_code(F5, 6, 3, 0)
-    assert cli.parse_code_file(cli.format_code_file(c, "note")) == c
+# Near-valid files: a good header, then one row of entries that may carry
+# a sign, an underscore or a digit of another script, then a tail.
+ENTRIES = ["0", "1", "2", "10", "01", "+1", "-1", "1_0", "\u0661", "\uff11", "\u00b2"]
+near_valid = st.builds(
+    lambda head, row, tail: f"{head}\n{' '.join(row)}{tail}",
+    st.sampled_from(["2 1 3 1", "3 1 2 1", "11 1 2 1", "2 2 2 1", "+2 1 2 1"]),
+    st.lists(st.sampled_from(ENTRIES), min_size=2, max_size=3),
+    st.sampled_from(["", "\n", " # note +1", "\r\n", "\n1 1 1", "\x85"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), near_valid))
+def test_parse_gives_a_code_or_a_code_file_error(text):
+    try:
+        c = cli.parse_code_file(text)
+    except cli.CodeFileError:
+        return
+    body = "".join(line.split("#", 1)[0] for line in text.splitlines())
+    assert all(ch in "0123456789" or ch.isspace() for ch in body)
+    assert cli.parse_code_file(cli.format_code_file(c)) == c
+
+
+@PROPERTY
+@given(codes_and_forms(), st.none() | st.text())
+def test_format_roundtrip(case, comment):
+    c, _ = case
+    assert cli.parse_code_file(cli.format_code_file(c, comment)) == c
 
 
 # ---------------------------------------------------------------
@@ -203,30 +262,48 @@ def test_pair_mode(capsys, fixtures_dir):
 # JSON round trips and determinism
 # ---------------------------------------------------------------
 
-def test_hull_report_roundtrip():
-    c = random_code(F5, 6, 3, 0)
-    rep = hull(c)
-    assert cli.parse_hull_report(F5, json.loads(cli.dumps(cli.hull_report_json(rep)))) == rep
+@PROPERTY
+@given(codes_and_forms())
+@example((make_code(F5, MatrixFq.identity(F5, 3)), "euclidean"))
+def test_hull_report_roundtrip(case):
+    c, form = case
+    rep = hull(c, form)
+    assert cli.parse_hull_report(c.spec, roundtrip(cli.hull_report_json, rep)) == rep
 
 
-def test_diag_result_roundtrip():
-    c = random_code(F5, 6, 3, 0)
-    res = diagonalize_odd(c)
-    back = cli.parse_diag_result(F5, json.loads(cli.dumps(cli.diag_result_json(res))))
-    assert back == res
+@PROPERTY
+@given(codes_and_forms())
+def test_diag_result_roundtrip(case):
+    c, form = case
+    if c.spec.p != 2:
+        res = diagonalize_odd(c, form)
+    else:
+        try:
+            res = diagonalize_maximal_hull(c, form)
+        except HullNotMaximalError:
+            return
+    assert cli.parse_diag_result(c.spec, roundtrip(cli.diag_result_json, res)) == res
 
 
-def test_record_roundtrip():
-    primary, dual_side = base_params(random_code(F5, 6, 3, 0))
-    for rec in (primary, dual_side):
-        assert cli.parse_record(json.loads(cli.dumps(cli.record_json(rec)))) == rec
+@PROPERTY
+@given(codes_and_forms(), st.sampled_from([1, 10 ** 4]))
+def test_record_roundtrip(case, budget):
+    c, form = case
+    for rec in base_params(c, form, budget):
+        assert cli.parse_record(roundtrip(cli.record_json, rec)) == rec
 
 
-def test_certificate_roundtrip():
-    cert, _ = extend_euclidean(random_code(F5, 6, 3, 0), 1)
-    back = cli.parse_certificate(
-        F5, json.loads(cli.dumps(cli.certificate_json(cert))))
-    assert back == cert
+@PROPERTY
+@given(codes_and_forms(), st.integers(0, 6), st.sampled_from([1, 10 ** 4]))
+def test_certificate_roundtrip(case, r, budget):
+    c, form = case
+    spec = c.spec
+    hermitian = form == "hermitian"
+    if spec.p == 2 or (spec.subfield_order if hermitian else spec.q) < (3 if hermitian else 5):
+        return                           # no extension over this field
+    extend = extend_hermitian if hermitian else extend_euclidean
+    cert, _ = extend(c, min(r, c.k - hull(c, form).ell), budget)
+    assert cli.parse_certificate(spec, roundtrip(cli.certificate_json, cert)) == cert
 
 
 def test_main_answers_alike_after_a_usage_error_and_a_refusal(capsys, fixtures_dir, tmp_path):

@@ -1,4 +1,10 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_diag import shaped_code
+from test_rows import FIELDS
 
 from hullforge import oracle
 from hullforge.codes import (BudgetExceeded, dual, hull,
@@ -6,7 +12,7 @@ from hullforge.codes import (BudgetExceeded, dual, hull,
                              is_lcd, is_self_orthogonal, make_code,
                              min_distance, random_code)
 from hullforge.gf import make_field
-from hullforge.matfq import MatrixFq
+from hullforge.matfq import MatrixFq, vstack
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -138,9 +144,58 @@ def test_hull_invariants_random(spec, form):
 
 
 def row_space_contains(outer, inner):
-    from hullforge.matfq import vstack
     stacked = vstack(outer.gen, inner.gen)
     return stacked.rref()[2] == outer.k
+
+
+# The fields of the row-kernel properties, in both forms where defined.
+FORM_CASES = [(spec, form) for spec in FIELDS for form in ("euclidean", "hermitian")
+              if form == "euclidean" or spec.subfield_order is not None]
+
+
+def hull_by_sum(c, form):
+    """Reference hull: the dual of C + dual(C), which never forms the
+    Gramian."""
+    d = dual(c, form)
+    return None if d is None else dual(make_code(c.spec, vstack(c.gen, d.gen)), form)
+
+
+def lcd_code(spec, form, rng):
+    """A random code with a nonsingular Gramian, or failing that the
+    coordinate code spanned by the first k unit vectors."""
+    n = rng.randint(1, 6)
+    k = rng.randint(1, n)
+    for _ in range(20):
+        c = random_code(spec, n, k, rng.randrange(2 ** 30))
+        if is_lcd(c, form):
+            return c
+    return code(spec, [[int(t == i) for t in range(n)] for i in range(k)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FORM_CASES),
+       st.sampled_from(("random", "k=n", "self-orthogonal", "lcd", "hull+1")),
+       st.integers(0, 2 ** 32))
+def test_gramian_hull_is_the_dual_of_the_sum(case, shape, seed):
+    spec, form = case
+    rng = random.Random(seed)
+    c = lcd_code(spec, form, rng) if shape == "lcd" else shaped_code(spec, form, shape, rng)
+    rep = hull(c, form)
+    assert rep.hull == hull_by_sum(c, form)
+    assert rep.consistent and rep.gramian_rank_g == c.k - rep.ell
+    if rep.hull is not None:
+        assert make_code(spec, rep.hull.gen) == rep.hull
+    assert rep.ell <= min(c.k, c.n - c.k)
+    d = dual(c, form)
+    if d is None:
+        assert rep.ell == 0
+    else:
+        assert dual(d, form) == c
+        assert hull(d, form).hull == rep.hull
+    if shape == "self-orthogonal":
+        assert rep.hull == c
+    if shape in ("k=n", "lcd"):
+        assert rep.hull is None
 
 
 # ---------------------------------------------------------------

@@ -56,6 +56,11 @@ def test_construction_errors():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_field(2, 17)  # 2^17 over the order cap
+    # a huge p or m is refused before the primality test and the power,
+    # each of which would run for minutes
+    for p, m in ((2 ** 61 - 1, 1), (3, 10 ** 8), (65537, 1)):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            make_field(p, m)
 
 
 def test_modulus_str():

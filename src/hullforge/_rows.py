@@ -36,8 +36,8 @@ Fields with q > 256 have no tables, and their rows are lists of codes:
   core (`gf._Lanes`): `axpy` spreads its scalar once per call, and per
   entry adds the spread digits of u_i to the big-int product of the
   spread f and v_i before one reduction; `dot` and `dot_conj` sum the
-  products of spread codes unreduced, in lanes wide enough for the row
-  length, and reduce once;
+  products of spread codes unreduced in chunks that fit the lanes,
+  reduce each chunk once and add the reduced chunks;
 * over GF(p), p > 256, they are list comprehensions mod p, and `dot`
   is ``sum(map(mul, u, v)) % p``, reduced once.
 """
@@ -48,7 +48,7 @@ from functools import lru_cache, reduce
 from operator import getitem, mul, xor
 from typing import Callable, NamedTuple
 
-from .gf import FieldSpec, _digit_spreads
+from .gf import _CORE_TERMS, FieldSpec, _digit_spreads
 
 _WIDE = 32      # bits per digit in dot-product sums: rows are far shorter than 2^32 / p
 
@@ -163,7 +163,7 @@ def _prime_kernels(spec):
 
 def _lane_kernels(spec):
     core = spec._core                 # its lanes hold a product plus an addend
-    half, lo, hi, finish = core.half, core.lo, core.hi, core.finish
+    half, lo, hi, finish, add = core.half, core.lo, core.hi, core.finish, core.add
 
     def axpy(u, f, v):
         sf = lo[f % half] + hi[f // half]
@@ -174,21 +174,24 @@ def _lane_kernels(spec):
         sf = lo[f % half] + hi[f // half]
         return [finish(sf * (lo[y % half] + hi[y // half])) if y else 0 for y in v]
 
+    def total(terms, size):
+        """The code of a sum of unreduced products, finished `size` at a time."""
+        if len(terms) <= size:
+            return finish(sum(terms))
+        return reduce(add, [finish(sum(terms[i:i + size])) for i in range(0, len(terms), size)])
+
     def dot(u, v):
-        lanes = spec._lanes_for(len(u))
-        lo, hi = lanes.lo, lanes.hi
-        return lanes.finish(sum([(lo[x % half] + hi[x // half]) * (lo[y % half] + hi[y // half])
-                                 for x, y in zip(u, v) if x and y]))
+        return total([(lo[x % half] + hi[x // half]) * (lo[y % half] + hi[y // half])
+                      for x, y in zip(u, v) if x and y], _CORE_TERMS)
 
     dot_conj = None
     if spec.subfield_order is not None:
+        clo, chi = core.conj_lo, core.conj_hi
+
         def dot_conj(u, v):
             # a conjugate is spread as the sum of two spread halves, whose
-            # lanes reach 2(p-1): twice the terms of a plain product
-            lanes = spec._lanes_for(2 * len(u))
-            lo, hi, clo, chi = lanes.lo, lanes.hi, lanes.conj_lo, lanes.conj_hi
-            return lanes.finish(sum([(lo[x % half] + hi[x // half]) * (clo[y % half] + chi[y // half])
-                                     for x, y in zip(u, v) if x and y]))
+            # lanes reach 2(p-1): each product counts as two terms
+            return total([(lo[x % half] + hi[x // half]) * (clo[y % half] + chi[y // half])
+                          for x, y in zip(u, v) if x and y], _CORE_TERMS // 2)
 
     return RowKernels(list, axpy, scale, dot, dot_conj, core.neg)
-

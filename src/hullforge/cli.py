@@ -237,7 +237,7 @@ def _load(args):
 
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
-        return args.budget
+        return resolve_budget(args.budget)
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         try:

@@ -95,19 +95,13 @@ def dual(c: LinearCode, form: str = "euclidean") -> LinearCode | None:
     return make_code(c.spec, ker)
 
 
-def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
-    """The hull C intersect dual(C), read off the Gramian S: {xG : xS = 0}."""
-    return _hull_and_dual(c, form)[0]
-
-
 def _hull_rows(s: MatrixFq) -> MatrixFq:
     """The hull's coefficient rows over G, in rref: the x with xS = 0."""
     return s.transpose().kernel().rref()[0]
 
 
-def _hull_and_dual(c: LinearCode, form: str):
-    """`hull(c, form)` together with the dual code it computed on the way
-    (None for the zero dual), for callers that need both."""
+def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
+    """The hull C intersect dual(C), read off the Gramian S: {xG : xS = 0}."""
     check_form(c.spec, form)
     x = _hull_rows(c.gen.gramian(form))
     ell = x.rows
@@ -116,7 +110,7 @@ def _hull_and_dual(c: LinearCode, form: str):
     d = dual(c, form)
     parity_gramian_rank = 0 if d is None else d.gen.gramian(form).rank
     return HullReport(form, hull_code, ell, c.k - ell, parity_gramian_rank,
-                      parity_gramian_rank == c.n - c.k - ell), d
+                      parity_gramian_rank == c.n - c.k - ell)
 
 
 def hull_dimension_via_gramian(c: LinearCode, form: str = "euclidean") -> int:

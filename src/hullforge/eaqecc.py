@@ -2,13 +2,22 @@
 
 A classical [n, k, d] code with hull dimension ell yields
 [[n, k - ell, d; n - k - ell]] and, from the dual side,
-[[n, n - k - ell, d_dual; k - ell]].  On top of that, a length
-extension appends r new coordinates: the parity-check matrix gains r
-rows built from pairwise-orthogonal anisotropic codewords x_i and
-scalars alpha_i chosen so the new Gramian diagonal entries stay
-nonzero.  The extended code keeps dimension k and hull dimension ell,
-its distance d' satisfies d <= d' <= d + r, and the entanglement cost
-becomes n - k - ell + r.
+[[n, n - k - ell, d_dual; k - ell]]; ell = k - rank S, S the Gramian
+of the generator.  On top of that, a length extension appends r new
+coordinates: the parity-check matrix gains r rows [alpha_i e_i | x_i],
+built from the rows x_i of the generator G_d that `diagonalize_odd`
+returns, whose Gramian is diag(d_1, ..., d_k) with d_i != 0 for
+i < k - ell, and nonzero scalars alpha_i.  The extended code is then
+generated, in closed form, by [B | G_d], where B is zero but for
+B_ii = -d_i / conj(alpha_i), i < r (conj is the identity for the
+euclidean form): row j is orthogonal to row i of the new parity checks,
+by B_ii conj(alpha_i) + d_i = 0 when i = j and <x_j, x_i> = 0 otherwise.
+Its Gramian is diag(d_i (1 + d_i / N(alpha_i)) for i < r, d_i after),
+N(alpha) = alpha^2 (euclidean) or alpha^(q0 + 1) (hermitian over
+GF(q0^2), where d_i lies in GF(q0)), and alpha_i is chosen with
+N(alpha_i) != -d_i, so those entries stay nonzero.  The extended code keeps dimension k and hull
+dimension ell, its distance d' satisfies d <= d' <= d + r, and the
+entanglement cost becomes n - k - ell + r.
 
 All rate arithmetic is exact rational; no floats appear anywhere.
 """
@@ -18,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (BudgetExceeded, LinearCode, _hull_and_dual, dual, hull,
-                    make_code, min_distance)
+from .codes import (BudgetExceeded, LinearCode, dual, hull,
+                    hull_dimension_via_gramian, make_code, min_distance)
 from .diag import diagonalize_odd
 from .matfq import _stack, check_form, dot
 
@@ -104,9 +113,8 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
     rather than failing: (1, n-k+1) for the code and (1, min(n, k+1))
     for its dual, whose dimension is n-k.
     """
-    check_form(code.spec, form)
-    report, dual_code = _hull_and_dual(code, form)
-    ell = report.ell
+    ell = hull_dimension_via_gramian(code, form)
+    dual_code = dual(code, form)
     n, k = code.n, code.k
     q_out = _qudit_dimension(code.spec, form)
     tag = "base-hermitian" if form == "hermitian" else "base-euclidean"
@@ -130,14 +138,14 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
     ell = k - diag_result.nonzero_count
     if not 0 <= r <= k - ell:
         raise ValueError(f"extension length r={r} outside [0, {k - ell}]")
-    xs = [tuple(diag_result.new_gen.row(i)) for i in range(k - ell)]
+    g_d, diagonal = diag_result.new_gen, diag_result.diagonal
+    xs = [g_d.row(i) for i in range(r)]
 
     hermitian = form == "hermitian"
     q0 = spec.subfield_order
-    alphas = []
+    alphas, b = [], []
     for i in range(r):
-        self_dot = dot(spec, xs[i], xs[i], form)
-        forbidden = spec.neg(self_dot)
+        forbidden = spec.neg(diagonal[i])
         alpha = None
         for a in spec.elements():
             if a == 0:
@@ -150,34 +158,33 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
             raise ExtensionVerificationError(
                 f"no admissible alpha for extension row {i}")
         alphas.append(alpha)
+        conj_alpha = spec.conjugate(alpha) if hermitian else alpha
+        b.append(spec.neg(spec.mul(diagonal[i], spec.inv(conj_alpha))))
 
-    dual_code = dual(code, form)
-    h_rows = [] if dual_code is None else dual_code.gen.row_list()
-    hp_rows = [[0] * r + list(row) for row in h_rows]
-    for i in range(r):
-        new_row = [0] * r + list(xs[i])
-        new_row[i] = alphas[i]
-        hp_rows.append(new_row)
-    hp = _stack(spec, hp_rows, n + r)
+    # The closed form of the module docstring: [B | G_d], B = diag(b) on
+    # its first r rows and 0 below, against the new parity rows.
+    def unit(j, v):
+        return [v[j] if t == j else 0 for t in range(r)]
 
-    kernel = hp.kernel() if not hermitian else hp.conjugate().kernel()
-    extended = make_code(spec, kernel)
+    extended = make_code(spec, _stack(
+        spec, [unit(j, b) + list(g_d.row(j)) for j in range(k)], n + r))
+    new_parity = [unit(i, alphas) + list(x) for i, x in enumerate(xs)]
 
     d = _distance_or_none(code, budget)
     d_prime = _distance_or_none(extended, budget)
     ext_report = hull(extended, form)
     hull_preserved = ext_report.ell == ell
     cert = ExtensionCertificate(code, extended, tuple(alphas),
-                                tuple(xs[:r]), hull_preserved, d_prime)
+                                tuple(xs), hull_preserved, d_prime)
 
-    if hp.rank != n - k + r:
-        raise ExtensionVerificationError(
-            "extended parity-check matrix is rank deficient", cert)
     if extended.n != n + r or extended.k != k:
         raise ExtensionVerificationError(
             f"extended code is [{extended.n},{extended.k}], "
             f"expected [{n + r},{k}]", cert)
-    if hp.gramian(form).rank != n - k - ell + r:
+    if any(dot(spec, w, h, form) for w in extended.gen.row_list() for h in new_parity):
+        raise ExtensionVerificationError(
+            "extended code is not orthogonal to the new parity rows", cert)
+    if not ext_report.consistent:
         raise ExtensionVerificationError(
             "extended parity-check Gramian has the wrong rank", cert)
     if not hull_preserved:

@@ -39,7 +39,8 @@ into fixed-width bit lanes of one Python int:
 Spreading reads two tables of about sqrt(q) entries, one for each half
 of the digits, and so do the other lookups, so fields with q > 256 hold
 no table of q entries.  The core's lanes are wide enough for a sum of
-32 products, which row operations accumulate unreduced.
+32 products: row operations accumulate that many unreduced, and dot
+products over longer rows finish their sums in chunks of that many.
 
 Fields with q <= 256 also get dense operation tables (add, mul, neg,
 inv, conj, sqrt; subtraction adds the negative), derived from the core:
@@ -60,9 +61,9 @@ from itertools import product
 
 ORDER_LIMIT = 1 << 16
 TABLE_LIMIT = 256
-# The core's lanes hold a sum of this many products, so row operations
-# over rows of up to this length share them with single-element
-# arithmetic; longer rows get wider lanes of their own.
+# The core's lanes hold a sum of this many products; row operations
+# share them with single-element arithmetic, and longer sums are
+# finished in chunks of this many.
 _CORE_TERMS = 32
 
 
@@ -231,8 +232,8 @@ class _Lanes:
 
     The spread form of a code holds its digit i in bits [w*i, w*(i+1)).
     `lo[a % half] + hi[a // half]` spreads a code.  `reduce` takes every
-    lane mod p; `finish` turns a sum of at most `terms` products of
-    spread codes (2m - 1 lanes) into the code of that sum mod the
+    lane mod p; `finish` turns a sum of at most _CORE_TERMS products
+    of spread codes (2m - 1 lanes) into the code of that sum mod the
     modulus; `settle` turns a sum of two spread codes into the code of
     their sum.  The conjugation tables, which `FieldSpec._new_lanes`
     fills on fields of square order above the table limit, hold the
@@ -242,8 +243,8 @@ class _Lanes:
     __slots__ = ("p", "m", "half", "lo", "hi", "reduce", "finish", "settle",
                  "add", "inv", "neg_lo", "neg_hi", "conj_lo", "conj_hi")
 
-    def __init__(self, p, m, modulus, terms):
-        w, k = _lane_shape(p, m, terms)
+    def __init__(self, p, m, modulus):
+        w, k = _lane_shape(p, m, _CORE_TERMS)
         h = (m + 1) // 2
         half = p ** h
         cut = w * h
@@ -387,10 +388,9 @@ def _inverse_binary(a, g):
 class FieldSpec:
     """The field GF(p^m) with its deterministic modulus.
 
-    Instances are immutable after construction, apart from a private
-    cache of wider lanes for long rows, and every operation is a pure
-    function of its arguments, so a FieldSpec may be shared freely
-    across threads.
+    Instances are immutable after construction, and every operation is
+    a pure function of its arguments, so a FieldSpec may be shared
+    freely across threads.
 
     Attributes
     ----------
@@ -410,7 +410,7 @@ class FieldSpec:
     __slots__ = ("p", "m", "q", "modulus", "subfield_order",
                  "add_table", "mul_table",
                  "neg_table", "inv_table", "conj_table", "_sqrt_table",
-                 "_core", "_wide")
+                 "_core")
 
     def __init__(self, p: int, m: int):
         if not isinstance(m, int) or m < 1:
@@ -428,8 +428,7 @@ class FieldSpec:
         self.q = q
         self.modulus = _smallest_irreducible(p, m)
         self.subfield_order = p ** (m // 2) if m % 2 == 0 else None
-        self._core = _Prime(p) if m == 1 else self._new_lanes(_CORE_TERMS)
-        self._wide = {}
+        self._core = _Prime(p) if m == 1 else self._new_lanes()
 
         self.add_table = None
         self.mul_table = None
@@ -442,21 +441,10 @@ class FieldSpec:
 
     # -- construction helpers -------------------------------------------
 
-    def _lanes_for(self, terms):
-        """Lanes that hold a sum of `terms` products: the core's up to
-        _CORE_TERMS, wider ones, built once, above that."""
-        if terms <= _CORE_TERMS:
-            return self._core
-        shape = _lane_shape(self.p, self.m, terms)
-        lanes = self._wide.get(shape)
-        if lanes is None:
-            lanes = self._wide[shape] = self._new_lanes(terms)
-        return lanes
-
-    def _new_lanes(self, terms):
-        """_Lanes for `terms` products, with the conjugation tables on
-        fields of square order above the table limit."""
-        lanes = _Lanes(self.p, self.m, self.modulus, terms)
+    def _new_lanes(self):
+        """The core's _Lanes, with the conjugation tables on fields of
+        square order above the table limit."""
+        lanes = _Lanes(self.p, self.m, self.modulus)
         if self.subfield_order is not None and self.q > TABLE_LIMIT:
             mul = lanes.mul
             x_conj = _power(mul, self.p, self.subfield_order)     # code p is x

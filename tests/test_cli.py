@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hullforge
 from hullforge import cli
 from hullforge.codes import hull, make_code, random_code
 from hullforge.diag import (HullNotMaximalError, diagonalize_maximal_hull,
@@ -250,6 +255,16 @@ def test_budget_flag_and_env(capsys, fixtures_dir, monkeypatch):
     assert rc == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("command", [["mindist"], ["eaqecc-base"],
+                                     ["eaqecc-extend", "--r", "1"], ["verify"]])
+def test_budget_below_one_exit_2(capsys, fixtures_dir, command, budget):
+    ext = str(fixtures_dir / "ext635.code")
+    rc, out, err = run(capsys, command[0], ext, *command[1:], "--budget", budget)
+    assert rc == 2 and out == ""
+    assert f"bad enumeration budget {budget}" in err
+
+
 def test_pair_mode(capsys, fixtures_dir):
     rc, out, _ = run(capsys, "diag", str(fixtures_dir / "selfdual21.code"),
                      "--pair", "--json")
@@ -348,7 +363,6 @@ def test_golden_outputs(capsys, fixtures_dir):
                                       "--r", "2", "--json"],
         "verify_hamming74.json": ["verify", "fixtures/hamming74.code", "--json"],
     }
-    import os
     cwd = os.getcwd()
     os.chdir(fixtures_dir.parent)
     try:
@@ -358,3 +372,19 @@ def test_golden_outputs(capsys, fixtures_dir):
             assert out == (golden / name).read_text(), name
     finally:
         os.chdir(cwd)
+
+
+def test_imports_only_the_standard_library():
+    """The package, its CLI and the oracle import no module from outside
+    the standard library.  Site hooks may load third-party modules at
+    start-up, so only the modules the imports add are checked."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import hullforge, hullforge.cli, hullforge.oracle\n"
+              "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+              "print(*sorted(added - set(sys.stdlib_module_names) - {'hullforge'}))\n")
+    src = str(Path(hullforge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.split() == []

@@ -1,8 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_acceptance import rebuild_parity
+from test_diag import SHAPES, shaped_code
 
-from hullforge.codes import hull, make_code, min_distance, random_code
+from hullforge.codes import (BudgetExceeded, hull, make_code, min_distance,
+                             random_code)
 from hullforge.eaqecc import (EaqeccRecord, ExtensionVerificationError,
                               base_params, extend_euclidean, extend_hermitian,
                               rate_report)
@@ -14,6 +20,16 @@ F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2)
+
+# Odd fields with q >= 5: prime, table-backed extensions of either parity
+# of m, GF(257) on integers mod p, and three fields on the lanes of the
+# core.  The hermitian form runs where m is even.
+EXTENSION_FIELDS = [make_field(p, m) for p, m in
+                    [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (257, 1),
+                     (3, 6), (17, 2), (251, 2)]]
+EXTENSION_CASES = [(spec, form) for spec in EXTENSION_FIELDS
+                   for form in ("euclidean", "hermitian")
+                   if form == "euclidean" or spec.subfield_order]
 
 
 def code(spec, rows):
@@ -170,6 +186,74 @@ def test_hermitian_extension_fixture_539():
     for a, x in zip(cert.alphas, cert.x_rows):
         assert a != 0
         assert F9.pow(a, q0 + 1) != F9.neg(dot(F9, x, x, "hermitian"))
+
+
+def check_extension_case(c, form, r, budget):
+    """An extension against the kernel of its parity-check matrix, rebuilt
+    from the certificate, and its record against the parameters."""
+    spec, n, k = c.spec, c.n, c.k
+    ell = hull(c, form).ell
+    extend = extend_euclidean if form == "euclidean" else extend_hermitian
+    cert, record = extend(c, r, budget)
+
+    hp = rebuild_parity(c, cert, r, form)
+    kernel = hp.kernel() if form == "euclidean" else hp.conjugate().kernel()
+    assert cert.extended == make_code(spec, kernel)
+    assert cert.original == c and cert.hull_preserved
+    assert hull(cert.extended, form).ell == ell
+    assert len(cert.alphas) == len(cert.x_rows) == r
+    for a, x in zip(cert.alphas, cert.x_rows):
+        norm = spec.mul(a, a) if form == "euclidean" else spec.mul(a, spec.conjugate(a))
+        assert a != 0 and norm != spec.neg(dot(spec, x, x, form))
+
+    try:
+        d = min_distance(c, budget)
+    except BudgetExceeded:
+        d = None
+    singleton = n + r - k + 1
+    assert record.d_exact == cert.d_prime
+    if cert.d_prime is not None:
+        assert cert.d_prime == min_distance(cert.extended)
+        if d is not None:
+            assert d <= cert.d_prime <= d + r
+    assert record.d_bounds == ((d, min(d + r, singleton)) if d is not None
+                               else (1, singleton))
+    q = spec.q if form == "euclidean" else spec.subfield_order
+    assert (record.n, record.k_logical, record.c, record.q, record.r) \
+        == (n + r, k - ell, n - k - ell + r, q, r)
+    assert record.provenance == ("ext-euclidean" if form == "euclidean" else "ext-hermitian")
+    assert record.rate == Fraction(k - ell, n + r)
+    assert record.net_rate == Fraction(2 * k - n - r, n + r)
+    return cert
+
+
+@st.composite
+def extension_cases(draw):
+    """A small code of any `shaped_code` shape over an extension field,
+    a form it supports, r in [0, k - ell] and a small budget."""
+    spec, form = draw(st.sampled_from(EXTENSION_CASES))
+    c = shaped_code(spec, form, draw(st.sampled_from(SHAPES)),
+                    random.Random(draw(st.integers(0, 2 ** 32))))
+    r = draw(st.integers(0, c.k - hull(c, form).ell))
+    return c, form, r, draw(st.sampled_from([1, 1000]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_cases())
+@example((code(F9, [[1, 1, 0, 0], [0, 1, 1, 1]]), "hermitian", 1, 1000))
+def test_extension_is_the_kernel_of_its_parity_check(case):
+    check_extension_case(*case)
+
+
+def test_hermitian_extension_takes_alpha_outside_the_subfield():
+    """<x, x>_H = -1 forbids every alpha of norm 1, so every alpha in
+    GF(3); the conjugate of the alpha taken then differs from it."""
+    c = code(F9, [[1, 1, 0, 0], [0, 1, 1, 1]])
+    cert = check_extension_case(c, "hermitian", 1, 1000)
+    x, = cert.x_rows
+    a, = cert.alphas
+    assert dot(F9, x, x, "hermitian") == F9.neg(1)
+    assert F9.conjugate(a) != a
 
 
 def test_hermitian_extension_rejects_even_base():

@@ -222,14 +222,40 @@ def test_axpy_and_scale_for_every_scalar(spec):
     assert list(pu) == u and list(pv) == v          # inputs left alone
 
 
+def digit_sum(spec, a):
+    total = 0
+    while a:
+        a, d = divmod(a, spec.p)
+        total += d
+    return total
+
+
+def conj_lane_filler(spec):
+    """The code y whose conjugate, as dot_conj spreads it, has the largest
+    lane sum.  dot_conj spreads conj(y) as the sum of the spread conjugates
+    of y's low and high digits, so its lanes reach past p - 1; a product
+    of the largest code and y has all of them in its middle lane."""
+    half = spec.p ** ((spec.m + 1) // 2)
+
+    def best(codes):
+        return max(codes, key=lambda a: digit_sum(spec, spec.conjugate(a)))
+
+    return best(range(half)) + best(range(0, spec.q, half))
+
+
 @pytest.mark.parametrize("spec", [f for f in FIELDS if f.q > 256], ids=lambda s: f"q{s.q}")
-@pytest.mark.parametrize("n", [1, 2, 16, 32, 40, 300])
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 32, 40, 300])
 def test_dot_on_long_rows_of_largest_codes(spec, n):
-    """Dot products sum their terms unreduced, in lanes sized for the row
-    length: rows of the largest code fill every lane to its bound."""
+    """Dot products sum their terms unreduced, in chunks the lanes hold:
+    rows of the largest code fill every lane of `dot` to its bound, and
+    rows of `conj_lane_filler` fill those of `dot_conj`, which finishes
+    half as many products at a time, as far as its operands can."""
     rng = random.Random(n)
-    rows = ([spec.q - 1] * n, [spec.q - 1] * (n - 1) + [rng.randrange(spec.q)])
-    forms = ["euclidean"] + (["hermitian"] if spec.subfield_order else [])
+    rows = [[spec.q - 1] * n, [spec.q - 1] * (n - 1) + [rng.randrange(spec.q)]]
+    forms = ["euclidean"]
+    if spec.subfield_order:
+        forms.append("hermitian")
+        rows.append([conj_lane_filler(spec)] * n)
     for u in rows:
         for v in rows:
             for form in forms:

@@ -107,7 +107,11 @@ def main_script():
     ham = "fixtures/hamming74.code"
     write_cli_golden("field-info.json", ["field-info", ham, "--json"])
     write_cli_golden("hull_hamming74.json", ["hull", ham, "--json"])
+    write_cli_golden("hull_herm539_hermitian.json",
+                     ["hull", "fixtures/herm539.code", "--form", "hermitian", "--json"])
     write_cli_golden("diag_ext635.json", ["diag", "fixtures/ext635.code", "--json"])
+    write_cli_golden("diag_ext635_pair.json",
+                     ["diag", "fixtures/ext635.code", "--pair", "--json"])
     write_cli_golden("diag_hamming74.json", ["diag", ham, "--json"])
     write_cli_golden("diag_herm42gf4_hermitian.json",
                      ["diag", "fixtures/herm42gf4.code", "--form", "hermitian", "--json"])
@@ -115,6 +119,9 @@ def main_script():
     write_cli_golden("eaqecc-base_hamming74.json", ["eaqecc-base", ham, "--json"])
     write_cli_golden("eaqecc-extend_ext635.json",
                      ["eaqecc-extend", "fixtures/ext635.code", "--r", "2", "--json"])
+    write_cli_golden("eaqecc-extend_herm539_hermitian.json",
+                     ["eaqecc-extend", "fixtures/herm539.code", "--form", "hermitian",
+                      "--r", "1", "--json"])
     write_cli_golden("verify_hamming74.json", ["verify", ham, "--json"])
 
 

@@ -33,10 +33,9 @@ class BudgetExceeded(Exception):
 def resolve_budget(budget) -> int:
     if budget is None:
         return DEFAULT_BUDGET
-    max_codewords = getattr(budget, "max_codewords", budget)
-    if not isinstance(max_codewords, int) or max_codewords < 1:
+    if not isinstance(budget, int) or budget < 1:
         raise ValueError(f"bad enumeration budget {budget!r}")
-    return max_codewords
+    return budget
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,16 @@ def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
     ell = x.rows
     # G is in rref, so X @ G is too: the hull's canonical generator.
     hull_code = LinearCode(c.spec, c.n, ell, x @ c.gen) if ell else None
-    d = dual(c, form)
-    parity_gramian_rank = 0 if d is None else d.gen.gramian(form).rank
+    parity_gramian_rank = _dual_gramian_rank(c, form)
     return HullReport(form, hull_code, ell, c.k - ell, parity_gramian_rank,
                       parity_gramian_rank == c.n - c.k - ell)
+
+
+def _dual_gramian_rank(c: LinearCode, form: str) -> int:
+    """rank(H H^T) (H H^dagger, hermitian) for the generator H of the
+    dual; 0 when the dual is zero.  It equals n - k - ell."""
+    d = dual(c, form)
+    return 0 if d is None else d.gen.gramian(form).rank
 
 
 def hull_dimension_via_gramian(c: LinearCode, form: str = "euclidean") -> int:
@@ -129,10 +134,11 @@ def is_lcd(c: LinearCode, form: str = "euclidean") -> bool:
     return c.gen.gramian(form).rank == c.k
 
 
-def is_hull_maximal_so_in(c: LinearCode, form: str = "euclidean",
-                          side: str = "code") -> bool:
-    """Whether hull(C) is maximal self-orthogonal in C (side="code") or
-    in the dual (side="dual").
+def is_hull_maximal_so_in(c: LinearCode, form: str = "euclidean") -> bool:
+    """Whether hull(C) is maximal self-orthogonal in C.
+
+    hull(C) is also the hull of the dual, so `is_hull_maximal_so_in(
+    dual(c, form), form)` asks whether it is maximal in a nonzero dual.
 
     The hull is maximal exactly when the form that C induces on C/hull
     is anisotropic.  That form is nondegenerate of dimension r = rank S,
@@ -147,13 +153,7 @@ def is_hull_maximal_so_in(c: LinearCode, form: str = "euclidean",
     (Chevalley-Warning).  See Lidl and Niederreiter, Finite Fields,
     chapter 6.
     """
-    if side not in ("code", "dual"):
-        raise ValueError(f"side must be 'code' or 'dual', got {side!r}")
     check_form(c.spec, form)
-    if side == "dual":
-        c = dual(c, form)
-        if c is None:
-            return True
     s = c.gen.gramian(form)
     return _is_maximal(s, s.rank, form)
 
@@ -242,7 +242,7 @@ def _iter_codewords(spec: FieldSpec, rows):
               for v in range(q - 1)] for s in scaled]
     roll = [tuple(sub(0, s[q - 1][t]) for t in range(n)) for s in scaled]
 
-    add_t = spec.add_table
+    add_t = spec._core.add_table
     digits = [0] * k                  # digits[j] drives row k-1-j
     for _ in range(q ** k - 1):
         j = 0

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rows import row_kernels
 # hull has no use here, but bench/test_bench.py reads it as diag.hull.
 from .codes import LinearCode, _hull_rows, _is_maximal, hull  # noqa: F401
-from .matfq import MatrixFq, _stack, check_form, dot, pair_reduce_diagonal
+from .matfq import MatrixFq, _inner, _stack, check_form, dot, pair_reduce_diagonal
 
 
 class NotLcdError(Exception):
@@ -80,9 +79,10 @@ def _congruence(c: LinearCode, form: str, gram: MatrixFq, indices, pairs: bool):
     pivot is found, and the self-products of the pivots.
     """
     spec = c.spec
-    kz = row_kernels(spec)
-    inner, axpy, neg, mul = kz.inner(form), kz.axpy, kz.neg, spec.mul
-    rows = [(kz.pack([int(t == i) for t in range(c.k)]), kz.pack(gram.row(i)))
+    core = spec._core
+    inner = _inner(spec, form)
+    axpy, neg, mul, inv, pack = core.axpy, core.neg, core.mul, core.inv, core.pack
+    rows = [(pack([int(t == i) for t in range(c.k)]), pack(gram.row(i)))
             for i in indices]
     pivots = []
     diagonal = []
@@ -102,7 +102,7 @@ def _congruence(c: LinearCode, form: str, gram: MatrixFq, indices, pairs: bool):
         nv = dot(spec, v_image, v, form)
         pivots.append(v)
         diagonal.append(nv)
-        inv_nv = spec.inv(nv)
+        inv_nv = inv(nv)
         projected = []
         for i, (e, image) in enumerate(rows):
             if i != dependent:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (BudgetExceeded, LinearCode, dual, hull,
+from .codes import (BudgetExceeded, LinearCode, _dual_gramian_rank, dual,
                     hull_dimension_via_gramian, make_code, min_distance)
 from .diag import diagonalize_odd
 from .matfq import _stack, check_form, dot
@@ -131,7 +131,13 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
 
 
 def _build_extension(code: LinearCode, r: int, form: str, budget):
-    """Shared body of the euclidean and hermitian extensions."""
+    """Shared body of the euclidean and hermitian extensions.
+
+    Each alpha_i is the first code in 1 .. q-1 with N(alpha_i) != -d_i,
+    and one always exists on the fields the extensions admit: for odd
+    q >= 5 the nonzero squares take (q-1)/2 >= 2 values, and for odd
+    q0 >= 3 the norm maps onto GF(q0)*, which has at least 2 elements.
+    """
     spec = code.spec
     diag_result = diagonalize_odd(code, form)
     n, k = code.n, code.k
@@ -146,17 +152,8 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
     alphas, b = [], []
     for i in range(r):
         forbidden = spec.neg(diagonal[i])
-        alpha = None
-        for a in spec.elements():
-            if a == 0:
-                continue
-            norm = spec.pow(a, q0 + 1) if hermitian else spec.mul(a, a)
-            if norm != forbidden:
-                alpha = a
-                break
-        if alpha is None:
-            raise ExtensionVerificationError(
-                f"no admissible alpha for extension row {i}")
+        alpha = next(a for a in range(1, spec.q)
+                     if (spec.pow(a, q0 + 1) if hermitian else spec.mul(a, a)) != forbidden)
         alphas.append(alpha)
         conj_alpha = spec.conjugate(alpha) if hermitian else alpha
         b.append(spec.neg(spec.mul(diagonal[i], spec.inv(conj_alpha))))
@@ -172,8 +169,8 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
 
     d = _distance_or_none(code, budget)
     d_prime = _distance_or_none(extended, budget)
-    ext_report = hull(extended, form)
-    hull_preserved = ext_report.ell == ell
+    ext_ell = hull_dimension_via_gramian(extended, form)
+    hull_preserved = ext_ell == ell
     cert = ExtensionCertificate(code, extended, tuple(alphas),
                                 tuple(xs), hull_preserved, d_prime)
 
@@ -184,12 +181,12 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
     if any(dot(spec, w, h, form) for w in extended.gen.row_list() for h in new_parity):
         raise ExtensionVerificationError(
             "extended code is not orthogonal to the new parity rows", cert)
-    if not ext_report.consistent:
+    if _dual_gramian_rank(extended, form) != n + r - k - ext_ell:
         raise ExtensionVerificationError(
             "extended parity-check Gramian has the wrong rank", cert)
     if not hull_preserved:
         raise ExtensionVerificationError(
-            f"hull dimension changed: {ext_report.ell} != {ell}", cert)
+            f"hull dimension changed: {ext_ell} != {ell}", cert)
     if d is not None and d_prime is not None and not d <= d_prime <= d + r:
         raise ExtensionVerificationError(
             f"distance {d_prime} outside [{d}, {d + r}]", cert)

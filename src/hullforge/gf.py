@@ -18,10 +18,28 @@ so constructing the same field twice gives bit-identical results:
     p=5, m=2 : x^2 + x + 1
     p=7, m=2 : x^2 + 1
 
-Field orders are capped at 2^16.  Every field has one arithmetic core.
-Over a prime field it is plain integer arithmetic mod p.  Over GF(p^m)
-with m >= 2 it is `_Lanes`, which spreads the m base-p digits of a code
-into fixed-width bit lanes of one Python int:
+Field orders are capped at 2^16.  Every field has one arithmetic core,
+picked when the field is built, and every operation goes through it:
+the element operations add, mul, neg, inv and conj, to which the
+methods of FieldSpec delegate, and the row operations that the inner
+loops of `matfq` and `diag` run on:
+
+* ``pack(codes)``     a row from any sequence of element codes
+* ``axpy(u, f, v)``   u + f*v, on rows
+* ``scale(f, v)``     f*v, on rows
+* ``dot(u, v)``       sum of u_i v_i, on any sequences of codes
+* ``dot_conj(u, v)``  sum of u_i conj(v_i), on fields of square order
+
+A row is indexed, iterated and tested like a sequence of codes.  Every
+operation is bound once, when its core is built, so a hot loop loads
+it into a local.  There are three cores.
+
+`_Prime` serves GF(p) with p > 256: integers mod p.  Rows are lists;
+`axpy` and `scale` are list comprehensions mod p, and `dot` is
+``sum(map(mul, u, v)) % p``, reduced once.
+
+`_Lanes` serves GF(p^m) with m >= 2 and q > 256.  It spreads the m
+base-p digits of a code into fixed-width bit lanes of one Python int:
 
 * a product is one big-int product of two spread operands, which sums
   the digit products of each power of x in its own lane with no carry
@@ -37,34 +55,57 @@ into fixed-width bit lanes of one Python int:
   and one lane addition.
 
 Spreading reads two tables of about sqrt(q) entries, one for each half
-of the digits, and so do the other lookups, so fields with q > 256 hold
-no table of q entries.  The core's lanes are wide enough for a sum of
-32 products: row operations accumulate that many unreduced, and dot
-products over longer rows finish their sums in chunks of that many.
+of the digits, and so do the other lookups, so these fields hold no
+table of q entries.  The lanes are wide enough for a sum of 32
+products.  Rows are lists: `axpy` spreads its scalar once per call,
+and per entry adds the spread digits of u_i to the big-int product of
+the spread f and v_i before one reduction; `dot` and `dot_conj` sum
+the products of spread codes unreduced in chunks of 32 (16 for
+`dot_conj`), reduce each chunk once and add the reduced chunks.
 
-Fields with q <= 256 also get dense operation tables (add, mul, neg,
-inv, conj, sqrt; subtraction adds the negative), derived from the core:
-the smallest primitive element g gives exp/log tables in q - 2 core
+`_Tables` serves every field with q <= 256.  It holds dense tables,
+derived from the `_Prime` or `_Lanes` core of the same field: the
+smallest primitive element g gives exp/log tables in q - 2 core
 products, and products, inverses, negatives and conjugates are read
-from exp/log.
+from exp/log; `neg`, `inv` and `conj` are the tables' own
+``__getitem__``.  Rows are ``bytes``, and no row operation makes a
+Python-level call per entry:
 
-The methods of FieldSpec do arithmetic on single elements.  Row
-operations read the tables or the core's lanes directly, through the
-kernels in `hullforge._rows`, which are built the first time a field is
-used, never at import.
+* scaling is one ``bytes.translate`` through the row ``mul_table[f]``;
+* in characteristic 2, addition is XOR of the rows read as integers;
+* in odd characteristic, when m base-p digits fit in a byte with room
+  for the sum of two digits each (every prime p <= 127, and GF(9),
+  GF(25), GF(49)), a translate spreads each code so that each digit has
+  its own bit field, the rows are added as integers with no carry
+  between entries, and one more translate reduces each digit mod p;
+* other odd fields (GF(27), GF(81), GF(121), primes above 127, ...) add
+  through the rows of ``add_table``, one lookup per entry done in C;
+* dot products over GF(p) are ``sum(map(mul, u, v)) % p``, reduced once;
+  over GF(p^m) the products come from ``mul_table`` and are summed with
+  XOR (characteristic 2) or as wide digit fields reduced once (odd).
+
+Only the codeword walks of `codes` and `oracle` look past the core's
+operations: they index its ``add_table`` inline, and fall back to
+`add` on the other two cores, whose ``add_table`` is None.  Square
+roots take Euler's criterion and Tonelli-Shanks in odd characteristic,
+and a^(q/2) in characteristic 2, on every field.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from itertools import product
 
 ORDER_LIMIT = 1 << 16
 TABLE_LIMIT = 256
-# The core's lanes hold a sum of this many products; row operations
+# The lanes of `_Lanes` hold a sum of this many products; row operations
 # share them with single-element arithmetic, and longer sums are
 # finished in chunks of this many.
 _CORE_TERMS = 32
+# Bits per digit in the dot-product sums of `_Tables`: rows are far
+# shorter than 2^32 / p.
+_WIDE = 32
 
 
 def is_prime(n: int) -> bool:
@@ -165,29 +206,62 @@ def _power(mul, a, e):
     return result
 
 
+def _encode(p, digits):
+    """The code of a digit vector, low digits first."""
+    code = 0
+    for d in reversed(digits):
+        code = code * p + d
+    return code
+
+
 # ----------------------------------------------------------------------
-# The arithmetic core
+# The arithmetic cores
 # ----------------------------------------------------------------------
 
-class _Prime:
+class _Core:
+    """The operations of a core, described in the module docstring.
+
+    conj and dot_conj are None over fields whose order is not a square.
+    add_table, the addition table with list rows, is None but in
+    `_Tables`.
+    """
+
+    __slots__ = ("add", "mul", "neg", "inv", "conj",
+                 "pack", "axpy", "scale", "dot", "dot_conj", "add_table")
+
+
+class _Prime(_Core):
     """The core of a prime field: integers mod p."""
 
-    __slots__ = ("p",)
+    __slots__ = ()
 
     def __init__(self, p):
-        self.p = p
+        times = operator.mul
 
-    def mul(self, a, b):
-        return a * b % self.p
+        def add(a, b):
+            return (a + b) % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
+        def mul(a, b):
+            return a * b % p
 
-    def neg(self, a):
-        return -a % self.p
+        def neg(a):
+            return -a % p
 
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
+        def inv(a):
+            return pow(a, p - 2, p)
+
+        def axpy(u, f, v):
+            return [(x + f * y) % p for x, y in zip(u, v)]
+
+        def scale(f, v):
+            return [f * y % p for y in v]
+
+        def dot(u, v):
+            return sum(map(times, u, v)) % p
+
+        self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, None
+        self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, None
+        self.add_table = None
 
 
 def _lane_shape(p, m, terms):
@@ -227,33 +301,29 @@ def _lane_ones(lanes, w):
     return sum(1 << (w * i) for i in range(lanes))
 
 
-class _Lanes:
+class _Lanes(_Core):
     """The core of GF(p^m), m >= 2: digits of a code in w-bit lanes.
 
     The spread form of a code holds its digit i in bits [w*i, w*(i+1)).
-    `lo[a % half] + hi[a // half]` spreads a code.  `reduce` takes every
+    `lo[a % half] + hi[a // half]` spreads a code.  `mod_p` takes every
     lane mod p; `finish` turns a sum of at most _CORE_TERMS products
     of spread codes (2m - 1 lanes) into the code of that sum mod the
     modulus; `settle` turns a sum of two spread codes into the code of
-    their sum.  The conjugation tables, which `FieldSpec._new_lanes`
-    fills on fields of square order above the table limit, hold the
+    their sum.  On fields of square order, `clo` and `chi` hold the
     spread conjugates of the low and the high half of a code.
     """
 
-    __slots__ = ("p", "m", "half", "lo", "hi", "reduce", "finish", "settle",
-                 "add", "inv", "neg_lo", "neg_hi", "conj_lo", "conj_hi")
+    __slots__ = ()
 
     def __init__(self, p, m, modulus):
         w, k = _lane_shape(p, m, _CORE_TERMS)
         h = (m + 1) // 2
         half = p ** h
         cut = w * h
-        self.p, self.m, self.half = p, m, half
-        self.lo = lo = _digit_spreads(p, h, w)
-        self.hi = hi = [s << cut for s in _digit_spreads(p, m - h, w)]
-        self.conj_lo = self.conj_hi = None
-        self.neg_lo = neg = _digit_negatives(p, h)
-        self.neg_hi = [half * x for x in neg[:p ** (m - h)]]
+        lo = _digit_spreads(p, h, w)
+        hi = [s << cut for s in _digit_spreads(p, m - h, w)]
+        neg_lo = _digit_negatives(p, h)
+        neg_hi = [half * x for x in neg_lo[:p ** (m - h)]]
         unlo = {s: a for a, s in enumerate(lo)}
         unhi = {s >> cut: a * half for a, s in enumerate(hi)}
         na = m // 2                   # high lanes folded by the first table
@@ -264,7 +334,7 @@ class _Lanes:
             lo_ones, hi_ones = _lane_ones(h, w), _lane_ones(m - h, w)
             a_ones, b_ones = _lane_ones(na, w), _lane_ones(m - 1 - na, w)
 
-            def reduce(s):
+            def mod_p(s):
                 return s & ones
 
             def finish(s):
@@ -286,7 +356,7 @@ class _Lanes:
             quotients = _lane_ones(2 * m - 1, w) * ((1 << (w - k)) - 1)
             low_mask, a_mask, lo_mask = (1 << sa) - 1, (1 << (w * na)) - 1, (1 << cut) - 1
 
-            def reduce(s):
+            def mod_p(s):
                 return s - (s * magic >> k & quotients) * p
 
             def finish(s):
@@ -331,42 +401,71 @@ class _Lanes:
                 x1 -= (x1 * magic >> k & quotients) * p
                 return unlo[x1 & lo_mask] + unhi[x1 >> cut]
 
-        self.reduce, self.finish, self.settle, self.add, self.inv = reduce, finish, settle, add, inv
+        def span(basis):
+            """The reduced spread forms of sum d_i basis[i] for every digit
+            vector d, in the order of the codes of d."""
+            table = [0]
+            for b in basis:
+                table = [t + d * b for d in range(p) for t in table]
+            return [mod_p(t) for t in table]
+
         # The high lanes j = m .. 2m-2 of a product, reduced mod p, fold
         # back linearly through x^j mod the modulus: one lookup for the
         # first na of them and one for the rest.
         folds = [sum(d << (w * i) for i, d in enumerate(_poly_mod([0] * j + [1], modulus, p)))
                  for j in range(m, 2 * m - 1)]
-        fold_a, fold_b = (dict(zip(_digit_spreads(p, len(part), w), self._span(part)))
+        fold_a, fold_b = (dict(zip(_digit_spreads(p, len(part), w), span(part)))
                           for part in (folds[:na], folds[na:]))
 
-    def mul(self, a, b):
-        lo, hi, half = self.lo, self.hi, self.half
-        return self.finish((lo[a % half] + hi[a // half]) * (lo[b % half] + hi[b // half]))
+        def mul(a, b):
+            return finish((lo[a % half] + hi[a // half]) * (lo[b % half] + hi[b // half]))
 
-    def neg(self, a):
-        # digit-wise, so the two halves add as codes with no carry
-        return self.neg_lo[a % self.half] + self.neg_hi[a // self.half]
+        def neg(a):
+            # digit-wise, so the two halves add as codes with no carry
+            return neg_lo[a % half] + neg_hi[a // half]
 
-    def conj(self, a):
-        half = self.half
-        return self.settle(self.conj_lo[a % half] + self.conj_hi[a // half])
+        def axpy(u, f, v):
+            sf = lo[f % half] + hi[f // half]
+            return [finish(sf * (lo[y % half] + hi[y // half]) + lo[x % half] + hi[x // half])
+                    if y else x for x, y in zip(u, v)]
 
-    def linear_halves(self, images):
-        """Spread tables of the GF(p)-linear map sending x^i to the code
-        images[i], for the low and the high half of the digits."""
-        lo, hi, half = self.lo, self.hi, self.half
-        basis = [lo[c % half] + hi[c // half] for c in images]
-        h = (self.m + 1) // 2
-        return self._span(basis[:h]), self._span(basis[h:])
+        def scale(f, v):
+            sf = lo[f % half] + hi[f // half]
+            return [finish(sf * (lo[y % half] + hi[y // half])) if y else 0 for y in v]
 
-    def _span(self, basis):
-        """The reduced spread forms of sum d_i basis[i] for every digit
-        vector d, in the order of the codes of d."""
-        table = [0]
-        for b in basis:
-            table = [t + d * b for d in range(self.p) for t in table]
-        return [self.reduce(t) for t in table]
+        def total(terms, size):
+            """The code of a sum of unreduced products, finished `size` at a time."""
+            if len(terms) <= size:
+                return finish(sum(terms))
+            return reduce(add, [finish(sum(terms[i:i + size])) for i in range(0, len(terms), size)])
+
+        def dot(u, v):
+            return total([(lo[x % half] + hi[x // half]) * (lo[y % half] + hi[y // half])
+                          for x, y in zip(u, v) if x and y], _CORE_TERMS)
+
+        conj = dot_conj = None
+        if m % 2 == 0:
+            # the images of 1, x, ..., x^(m-1) under x -> x^(p^(m/2)),
+            # spread; code p is x
+            x_conj = _power(mul, p, p ** (m // 2))
+            images = [1]
+            for _ in range(m - 1):
+                images.append(mul(images[-1], x_conj))
+            basis = [lo[c % half] + hi[c // half] for c in images]
+            clo, chi = span(basis[:h]), span(basis[h:])
+
+            def conj(a):
+                return settle(clo[a % half] + chi[a // half])
+
+            def dot_conj(u, v):
+                # a conjugate is spread as the sum of two spread halves, whose
+                # lanes reach 2(p-1): each product counts as two terms
+                return total([(lo[x % half] + hi[x // half]) * (clo[y % half] + chi[y // half])
+                              for x, y in zip(u, v) if x and y], _CORE_TERMS // 2)
+
+        self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, conj
+        self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, dot_conj
+        self.add_table = None
 
 
 def _inverse_binary(a, g):
@@ -379,6 +478,132 @@ def _inverse_binary(a, g):
         u ^= v << j
         x1 ^= x2 << j
     return x1
+
+
+class _Tables(_Core):
+    """The core of a field with q <= 256: tables derived from `base`, the
+    `_Prime` or `_Lanes` core of the same field."""
+
+    __slots__ = ("mul_table",)
+
+    def __init__(self, base, p, m, subfield_order):
+        q = p ** m
+        n = q - 1
+        core_mul = base.mul
+        g = next(a for a in range(1, q)
+                 if all(_power(core_mul, a, n // r) != 1 for r in _prime_factors(n)))
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = core_mul(exp[i - 1], g)
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        # Rows of mul_table are bytes, a quarter of the memory of lists:
+        # the row operations translate through them, and only `mul`
+        # indexes them from Python.  Row a maps the byte log b to
+        # exp[log a + log b] by one translate through a rotation of exp.
+        logs = bytes(log[1:])
+        ring = bytes(exp) * (256 // n + 2)
+        self.mul_table = mult = [bytes(q)] + [b"\0" + logs.translate(ring[log[a]:log[a] + 256])
+                                              for a in range(1, q)]
+        # add_table keeps list rows, which index faster inside the
+        # codeword enumeration.
+        self.add_table = add_table = _digit_sums(p, m)
+        minus_one = 0 if p == 2 else n // 2
+        neg = [0] + [exp[(log[a] + minus_one) % n] for a in range(1, q)]
+        inv = [None] + [exp[-log[a] % n] for a in range(1, q)]
+
+        def add(a, b):
+            return add_table[a][b]
+
+        def mul(a, b):
+            return mult[a][b]
+
+        getitem, times, xor = operator.getitem, operator.mul, operator.xor
+        pad = bytes(256 - q)
+        mt = [row + pad for row in mult]
+        from_bytes = int.from_bytes
+
+        def scale(f, v):
+            return v.translate(mt[f])
+
+        w = (2 * p - 2).bit_length()      # bits that hold the sum of two digits
+        if p == 2:
+            def axpy(u, f, v):
+                if f != 1:
+                    v = v.translate(mt[f])
+                return (from_bytes(u, "little") ^ from_bytes(v, "little")
+                        ).to_bytes(len(u), "little")
+        elif m * w <= 8:
+            spread_row = bytes(_digit_spreads(p, m, w)) + pad
+            spread_mt = [row.translate(spread_row) + pad for row in mult]
+            # the code of each byte's m lanes, each lane taken mod p; the
+            # table repeats over the bits above the lanes
+            lanes = [0]
+            for i in range(m):
+                lanes = [t + v % p * p ** i for v in range(1 << w) for t in lanes]
+            unspread = bytes(lanes) * (256 >> (m * w))
+
+            def axpy(u, f, v):
+                s = (from_bytes(u.translate(spread_row), "little")
+                     + from_bytes(v.translate(spread_mt[f]), "little"))
+                return s.to_bytes(len(u), "little").translate(unspread)
+        else:
+            add_row = add_table.__getitem__
+
+            def axpy(u, f, v):
+                return bytes(map(getitem, map(add_row, u), v.translate(mt[f])))
+
+        self.add, self.mul, self.neg, self.inv = add, mul, neg.__getitem__, inv.__getitem__
+        self.pack, self.axpy, self.scale = bytes, axpy, scale
+        self.conj = self.dot_conj = None
+        if m == 1:
+            def dot(u, v):
+                return sum(map(times, u, v)) % p
+
+            self.dot = dot
+            return
+
+        if p == 2:
+            def total(products):
+                return reduce(xor, products, 0)
+        else:
+            wide = _digit_spreads(p, m, _WIDE).__getitem__
+            mask = (1 << _WIDE) - 1
+
+            def total(products):
+                s = sum(map(wide, products))
+                return _encode(p, [(s >> (_WIDE * i) & mask) % p for i in range(m)])
+
+        mul_row = mult.__getitem__
+
+        def dot(u, v):
+            return total(map(getitem, map(mul_row, u), v))
+
+        self.dot = dot
+        if subfield_order is not None:
+            conj = [0] + [exp[log[a] * subfield_order % n] for a in range(1, q)]
+            self.conj = conj_of = conj.__getitem__
+
+            def dot_conj(u, v):
+                return total(map(getitem, map(mul_row, u), map(conj_of, v)))
+
+            self.dot_conj = dot_conj
+
+
+def _digit_sums(p, m):
+    """The addition table of GF(p^m) as list rows: codes add digit-wise
+    mod p.  A row over one digit is a rotation of range(p); over more
+    digits, a row joins the rows of the low and the high half."""
+    if m == 1:
+        r = list(range(p))
+        return [r[a:] + r[:a] for a in range(p)]
+    h = (m + 1) // 2
+    half = p ** h
+    low = _digit_sums(p, h)
+    high = [[half * x for x in row] for row in _digit_sums(p, m - h)]
+    return [[x + y for y in high[a // half] for x in low[a % half]]
+            for a in range(p ** m)]
 
 
 # ----------------------------------------------------------------------
@@ -407,10 +632,7 @@ class FieldSpec:
         and with it the Hermitian form.  None for odd m.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "subfield_order",
-                 "add_table", "mul_table",
-                 "neg_table", "inv_table", "conj_table", "_sqrt_table",
-                 "_core")
+    __slots__ = ("p", "m", "q", "modulus", "subfield_order", "_core")
 
     def __init__(self, p: int, m: int):
         if not isinstance(m, int) or m < 1:
@@ -428,101 +650,29 @@ class FieldSpec:
         self.q = q
         self.modulus = _smallest_irreducible(p, m)
         self.subfield_order = p ** (m // 2) if m % 2 == 0 else None
-        self._core = _Prime(p) if m == 1 else self._new_lanes()
-
-        self.add_table = None
-        self.mul_table = None
-        self.neg_table = None
-        self.inv_table = None
-        self.conj_table = None
-        self._sqrt_table = None
-        if q <= TABLE_LIMIT:
-            self._build_tables()
-
-    # -- construction helpers -------------------------------------------
-
-    def _new_lanes(self):
-        """The core's _Lanes, with the conjugation tables on fields of
-        square order above the table limit."""
-        lanes = _Lanes(self.p, self.m, self.modulus)
-        if self.subfield_order is not None and self.q > TABLE_LIMIT:
-            mul = lanes.mul
-            x_conj = _power(mul, self.p, self.subfield_order)     # code p is x
-            images = [1]
-            for _ in range(self.m - 1):
-                images.append(mul(images[-1], x_conj))
-            lanes.conj_lo, lanes.conj_hi = lanes.linear_halves(images)
-        return lanes
-
-    def _build_tables(self):
-        p, m, q = self.p, self.m, self.q
-        n = q - 1
-        mul = self._core.mul
-        g = next(a for a in range(1, q)
-                 if all(_power(mul, a, n // r) != 1 for r in _prime_factors(n)))
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = mul(exp[i - 1], g)
-        log = [0] * q
-        for i, x in enumerate(exp):
-            log[x] = i
-        # Rows of mul_table are bytes, a quarter of the memory of lists:
-        # the row kernels translate through them, and only single-element
-        # calls index them from Python.  Row a maps the byte log b to
-        # exp[log a + log b] by one translate through a rotation of exp.
-        logs = bytes(log[1:])
-        ring = bytes(exp) * (256 // n + 2)
-        self.mul_table = [bytes(q)] + [b"\0" + logs.translate(ring[log[a]:log[a] + 256])
-                                       for a in range(1, q)]
-        # add_table keeps list rows, which index faster inside the
-        # codeword enumeration.
-        self.add_table = _digit_sums(p, m)
-        minus_one = 0 if p == 2 else n // 2
-        self.neg_table = [0] + [exp[(log[a] + minus_one) % n] for a in range(1, q)]
-        self.inv_table = [None] + [exp[-log[a] % n] for a in range(1, q)]
-        if self.subfield_order is not None:
-            s = self.subfield_order
-            self.conj_table = [0] + [exp[log[a] * s % n] for a in range(1, q)]
-        sqrt = [None] * q
-        for y in range(q):            # ascending scan records the smaller root
-            s = self.mul_table[y][y]
-            if sqrt[s] is None:
-                sqrt[s] = y
-        self._sqrt_table = sqrt
-
-    def _encode(self, digits):
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
+        core = _Prime(p) if m == 1 else _Lanes(p, m, self.modulus)
+        self._core = core if q > TABLE_LIMIT else _Tables(core, p, m, self.subfield_order)
 
     # -- public operations ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        t = self.add_table
-        return t[a][b] if t is not None else self._core.add(a, b)
+        return self._core.add(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        t = self.add_table
-        if t is not None:
-            return t[a][self.neg_table[b]]
         core = self._core
         return core.add(a, core.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        t = self.mul_table
-        return t[a][b] if t is not None else self._core.mul(a, b)
+        return self._core.mul(a, b)
 
     def neg(self, a: int) -> int:
-        t = self.neg_table
-        return t[a] if t is not None else self._core.neg(a)
+        return self._core.neg(a)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ValueError on zero."""
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
-        t = self.inv_table
-        return t[a] if t is not None else self._core.inv(a)
+        return self._core.inv(a)
 
     def pow(self, a: int, e: int) -> int:
         """Square-and-multiply exponentiation; negative e inverts first."""
@@ -531,7 +681,7 @@ class FieldSpec:
             e = -e
         if self.m == 1:
             return pow(a, e, self.p)
-        return _power(self.mul, a, e)
+        return _power(self._core.mul, a, e)
 
     def frobenius(self, a: int, e: int) -> int:
         """The map x -> x^(p^e) for 0 <= e <= m."""
@@ -543,12 +693,9 @@ class FieldSpec:
         """x -> x^(p^(m/2)); the involution fixing the index-2 subfield."""
         if self.subfield_order is None:
             raise ValueError("conjugation requires an even extension degree")
-        t = self.conj_table
-        return t[a] if t is not None else self._core.conj(a)
+        return self._core.conj(a)
 
     def is_square(self, a: int) -> bool:
-        if self._sqrt_table is not None:
-            return self._sqrt_table[a] is not None
         if self.p == 2 or a == 0:
             return True
         return self.pow(a, (self.q - 1) // 2) == 1      # Euler's criterion
@@ -559,8 +706,6 @@ class FieldSpec:
         In characteristic 2 every element has a unique root; for odd q
         exactly (q+1)/2 elements, zero included, are squares.
         """
-        if self._sqrt_table is not None:
-            return self._sqrt_table[a]
         if self.p == 2:
             return self.pow(a, self.q // 2)
         if a == 0:
@@ -609,21 +754,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, m={self.m}, q={self.q})"
-
-
-def _digit_sums(p, m):
-    """The addition table of GF(p^m) as list rows: codes add digit-wise
-    mod p.  A row over one digit is a rotation of range(p); over more
-    digits, a row joins the rows of the low and the high half."""
-    if m == 1:
-        r = list(range(p))
-        return [r[a:] + r[:a] for a in range(p)]
-    h = (m + 1) // 2
-    half = p ** h
-    low = _digit_sums(p, h)
-    high = [[half * x for x in row] for row in _digit_sums(p, m - h)]
-    return [[x + y for y in high[a // half] for x in low[a % half]]
-            for a in range(p ** m)]
 
 
 @lru_cache(maxsize=None)

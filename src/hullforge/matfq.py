@@ -7,9 +7,9 @@ pivot column, topmost nonzero row), which the rest of the package
 relies on for reproducible fixtures.
 
 Elimination, products, the pair reduction and `dot` run on the row
-kernels of `hullforge._rows`, picked once per field: bytes rows with
-translate tables for q <= 256, lists on the lanes of the field's core
-above that.
+operations of the field's arithmetic core (`gf`), bound when the field
+is built: bytes rows with translate tables for q <= 256, lists on the
+core's lanes or on integers mod p above that.
 
 Entries are checked where they enter from outside: `MatrixFq(...)` and
 `MatrixFq.from_rows` reject an entry that is not an int in [0, q).
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from itertools import chain
 
-from ._rows import row_kernels
 from .gf import FieldSpec
 
 FORMS = ("euclidean", "hermitian")
@@ -107,8 +106,7 @@ class MatrixFq:
         spec = self.spec
         if spec.subfield_order is None:
             raise ValueError("conjugation requires a field of square order")
-        conj = spec.conj_table.__getitem__ if spec.conj_table else spec._core.conj
-        return _matrix(spec, self.rows, self.cols, tuple(map(conj, self.entries)))
+        return _matrix(spec, self.rows, self.cols, tuple(map(spec._core.conj, self.entries)))
 
     def conj_transpose(self) -> "MatrixFq":
         return self.conjugate().transpose()
@@ -122,12 +120,12 @@ class MatrixFq:
             raise ValueError(f"shape mismatch: ({self.rows}x{self.cols}) @ "
                              f"({other.rows}x{other.cols})")
         spec = self.spec
-        kz = row_kernels(spec)
-        axpy = kz.axpy
+        core = spec._core
+        axpy, pack = core.axpy, core.pack
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
-        brows = [kz.pack(b[t * m:(t + 1) * m]) for t in range(k)]
-        zero = kz.pack((0,) * m)
+        brows = [pack(b[t * m:(t + 1) * m]) for t in range(k)]
+        zero = pack((0,) * m)
         out = []
         for i in range(n):
             acc = zero
@@ -154,11 +152,11 @@ class MatrixFq:
             with leading ones and zeros above and below each pivot.
         """
         spec = self.spec
-        kz = row_kernels(spec)
-        axpy, neg, inv = kz.axpy, kz.neg, spec.inv
+        core = spec._core
+        axpy, scale, neg, inv, pack = core.axpy, core.scale, core.neg, core.inv, core.pack
         nrows, ncols = self.rows, self.cols
         e = self.entries
-        rows = [kz.pack(e[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
+        rows = [pack(e[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
         pivots = []
         r = 0
         for c in range(ncols):
@@ -175,7 +173,7 @@ class MatrixFq:
                 rows[r], rows[pr] = rows[pr], rows[r]
             pv = rows[r][c]
             if pv != 1:
-                rows[r] = kz.scale(inv(pv), rows[r])
+                rows[r] = scale(inv(pv), rows[r])
             prow = rows[r]
             for i in range(nrows):
                 f = rows[i][c]
@@ -200,7 +198,7 @@ class MatrixFq:
         n = self.cols
         pivot_set = set(pivots)
         free = [c for c in range(n) if c not in pivot_set]
-        neg = row_kernels(spec).neg
+        neg = spec._core.neg
         top = R.entries[:rank * n]
         basis = []
         for f in free:
@@ -266,7 +264,13 @@ def dot(spec: FieldSpec, u, v, form: str = "euclidean") -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     check_form(spec, form)
-    return row_kernels(spec).inner(form)(u, v)
+    return _inner(spec, form)(u, v)
+
+
+def _inner(spec: FieldSpec, form: str):
+    """The row product of the form: the core's `dot` or `dot_conj`."""
+    core = spec._core
+    return core.dot if form == "euclidean" else core.dot_conj
 
 
 def pair_reduce_diagonal(s: MatrixFq):
@@ -281,12 +285,11 @@ def pair_reduce_diagonal(s: MatrixFq):
         raise ValueError("pair reduction needs a square matrix")
     spec = s.spec
     k = s.rows
-    kz = row_kernels(spec)
-    axpy, neg = kz.axpy, kz.neg
-    mul, inv = spec.mul, spec.inv
+    core = spec._core
+    axpy, neg, mul, inv, pack = core.axpy, core.neg, core.mul, core.inv, core.pack
     e = s.entries
-    a = [kz.pack(e[i * k:(i + 1) * k]) for i in range(k)]
-    unit = [kz.pack([1 if j == i else 0 for j in range(k)]) for i in range(k)]
+    a = [pack(e[i * k:(i + 1) * k]) for i in range(k)]
+    unit = [pack([1 if j == i else 0 for j in range(k)]) for i in range(k)]
     left = unit[:]
     # right[j] is column j of the column-operation matrix, so column
     # operations on S become row operations on right, and Q is right.

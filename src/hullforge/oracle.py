@@ -8,18 +8,11 @@ than the main paths; they exist to be obviously correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .codes import DEFAULT_BUDGET, BudgetExceeded, LinearCode, resolve_budget
+from .codes import BudgetExceeded, LinearCode, resolve_budget
 from .gf import FieldSpec
 from .matfq import check_form
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on how many codewords any brute-force walk may visit."""
-    max_codewords: int = DEFAULT_BUDGET
 
 
 def _form_dot(spec: FieldSpec, u, v, form: str) -> int:
@@ -96,7 +89,7 @@ def hull_by_enumeration(c: LinearCode, form: str = "euclidean", budget=None):
     roll_t = [tuple(mul(rollcode, t_mat[i][j]) for j in range(k))
               for i in range(k)]
 
-    add_t = spec.add_table
+    add_t = spec._core.add_table
     c_buf = [0] * n
     s_buf = [0] * k
     members = [tuple(c_buf)]          # the zero word is always in the hull

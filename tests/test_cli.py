@@ -353,7 +353,10 @@ def test_golden_outputs(capsys, fixtures_dir):
     cases = {
         "field-info.json": ["field-info", "fixtures/hamming74.code", "--json"],
         "hull_hamming74.json": ["hull", "fixtures/hamming74.code", "--json"],
+        "hull_herm539_hermitian.json": ["hull", "fixtures/herm539.code",
+                                        "--form", "hermitian", "--json"],
         "diag_ext635.json": ["diag", "fixtures/ext635.code", "--json"],
+        "diag_ext635_pair.json": ["diag", "fixtures/ext635.code", "--pair", "--json"],
         "diag_hamming74.json": ["diag", "fixtures/hamming74.code", "--json"],
         "diag_herm42gf4_hermitian.json": ["diag", "fixtures/herm42gf4.code",
                                           "--form", "hermitian", "--json"],
@@ -361,6 +364,9 @@ def test_golden_outputs(capsys, fixtures_dir):
         "eaqecc-base_hamming74.json": ["eaqecc-base", "fixtures/hamming74.code", "--json"],
         "eaqecc-extend_ext635.json": ["eaqecc-extend", "fixtures/ext635.code",
                                       "--r", "2", "--json"],
+        "eaqecc-extend_herm539_hermitian.json": ["eaqecc-extend", "fixtures/herm539.code",
+                                                 "--form", "hermitian", "--r", "1",
+                                                 "--json"],
         "verify_hamming74.json": ["verify", "fixtures/hamming74.code", "--json"],
     }
     cwd = os.getcwd()

@@ -219,12 +219,12 @@ def test_maximality_pinned():
 
 
 def test_maximality_dual_side():
+    # hull(C) = hull(dual(C)), so the dual side is the same question
+    # asked of the dual code
     c = code(F2, [[1, 1]])
-    assert is_hull_maximal_so_in(c, side="dual")
+    assert is_hull_maximal_so_in(dual(c))
     full = code(F2, [[1, 0], [0, 1]])
-    assert is_hull_maximal_so_in(full, side="dual")  # dual is zero
-    with pytest.raises(ValueError):
-        is_hull_maximal_so_in(c, side="both")
+    assert dual(full) is None          # a zero dual has nothing to ask
 
 
 def test_maximality_exact_where_a_budget_once_refused():

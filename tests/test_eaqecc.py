@@ -134,6 +134,24 @@ def test_extension_fixture_635():
         assert F5.mul(a, a) != F5.neg(dot(F5, x, x))
 
 
+def test_extension_checks_build_no_hull_generator(monkeypatch):
+    """The extension reads the extended code's hull dimension off its
+    Gramian: no X @ G product forms a hull generator, here (1x3) @ (3x8)."""
+    c = random_code(F5, 6, 3, 0)
+    shapes = []
+    matmul = MatrixFq.__matmul__
+
+    def recording(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(MatrixFq, "__matmul__", recording)
+    cert, _ = extend_euclidean(c, 2)
+    assert cert.hull_preserved
+    assert (3, 8, 3) in shapes                  # the extended Gramian
+    assert (1, 3, 8) not in shapes
+
+
 def test_extension_rejects_small_or_even_fields():
     with pytest.raises(ValueError):
         extend_euclidean(random_code(F3, 4, 2, 0), 0)   # q = 3 < 5

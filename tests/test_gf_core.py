@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullforge.gf import _poly_mod, _poly_mul, make_field
+from test_rows import FIELDS
 
 # Above the table limit: GF(2^16) and GF(3^10) are the largest fields of
 # their characteristic, GF(17^2) and GF(251^2) have square order, and
@@ -93,7 +94,7 @@ def test_special_elements_against_reference(spec):
         assert spec.neg(a) == ref.neg(a)
         if a:
             assert spec.inv(a) == ref.inv(a)
-    assert spec.mul_table is None
+    assert spec._core.add_table is None
 
 
 @PROPERTY
@@ -134,15 +135,23 @@ def test_conjugate_and_frobenius_match_reference(case, data):
         assert spec.conjugate(a) == ref.pow(a, spec.subfield_order)
 
 
-@pytest.mark.parametrize("p,m", [(3, 6), (17, 2)])
+# Every field of tests/test_rows.py with q <= 256, and GF(97), GF(193),
+# GF(241) and GF(257), where 2^5, 2^6, 2^4 and 2^8 divide q - 1, so
+# Tonelli-Shanks runs its inner loop.
+SQRT_FIELDS = ([(3, 6), (17, 2)] + [(f.p, f.m) for f in FIELDS if f.q <= 256]
+               + [(97, 1), (193, 1), (241, 1), (257, 1)])
+
+
+@pytest.mark.parametrize("p,m", SQRT_FIELDS)
 def test_sqrt_and_is_square_exhaustive(p, m):
-    """Tonelli-Shanks and Euler's criterion against a scan of every square."""
+    """Tonelli-Shanks, Euler's criterion and, in characteristic 2, the
+    root a^(q/2) against a scan of every square."""
     spec = make_field(p, m)
     ref = Schoolbook(spec)
     smallest_root = {}
     for y in range(spec.q):
         smallest_root.setdefault(ref.mul(y, y), y)
-    assert len(smallest_root) == (spec.q + 1) // 2
+    assert len(smallest_root) == (spec.q if p == 2 else (spec.q + 1) // 2)
     for a in range(spec.q):
         assert spec.sqrt(a) == smallest_root.get(a), a
         assert spec.is_square(a) == (a in smallest_root), a
@@ -157,14 +166,16 @@ def test_tables_equal_schoolbook_tables(spec):
     ref = Schoolbook(spec)
     q = spec.q
     mul = [bytes(ref.mul(a, b) for b in range(q)) for a in range(q)]
-    assert spec.mul_table == mul
-    assert spec.add_table == [[ref.add(a, b) for b in range(q)] for a in range(q)]
-    assert spec.neg_table == [ref.neg(a) for a in range(q)]
-    assert spec.inv_table == [None] + [mul[a].index(1) for a in range(1, q)]
+    core = spec._core
+    assert core.mul_table == mul
+    assert core.add_table == [[ref.add(a, b) for b in range(q)] for a in range(q)]
+    assert [core.neg(a) for a in range(q)] == [ref.neg(a) for a in range(q)]
+    assert [core.inv(a) for a in range(q)] == [None] + [mul[a].index(1) for a in range(1, q)]
     if spec.subfield_order is None:
-        assert spec.conj_table is None
+        assert core.conj is None
     else:
-        assert spec.conj_table == [ref.pow(a, spec.subfield_order) for a in range(q)]
+        assert [core.conj(a) for a in range(q)] == [ref.pow(a, spec.subfield_order)
+                                                    for a in range(q)]
     roots = {}
     for y in range(q):
         roots.setdefault(mul[y][y], y)

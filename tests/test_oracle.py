@@ -99,7 +99,6 @@ def test_hermitian_hull_golden(fixtures_dir):
 
 def test_budget_object_accepted():
     c = code(F2, [[1, 1]])
-    budget = oracle.EnumerationBudget(max_codewords=100)
-    assert oracle.min_distance_by_enumeration(c, budget) == 2
+    assert oracle.min_distance_by_enumeration(c, 100) == 2
     with pytest.raises(BudgetExceeded):
-        oracle.min_distance_by_enumeration(c, oracle.EnumerationBudget(1))
+        oracle.min_distance_by_enumeration(c, 1)

@@ -1,5 +1,6 @@
-"""The row kernels against a naive reference that makes one FieldSpec
-call per entry, over every kind of field the kernels tell apart."""
+"""The row operations of each field's arithmetic core (`gf`) against a
+naive reference that makes one FieldSpec call per entry, over every
+kind of field the cores and their row operations tell apart."""
 
 import random
 
@@ -7,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullforge._rows import row_kernels
 from hullforge.gf import make_field
 from hullforge.matfq import MatrixFq, dot, pair_reduce_diagonal
 
 # GF(2), GF(3), GF(7), GF(4), GF(9), GF(49), GF(256) as named; GF(81),
-# GF(127) and GF(131) sit on either side of the one-byte digit packing;
-# GF(2^9), GF(3^6), GF(17^2) and GF(251^2) have no tables and run on the
-# lanes of the core, GF(257) on integers mod p.
+# GF(127) and GF(131) sit on either side of the one-byte digit packing
+# of the table core; GF(2^9), GF(3^6), GF(17^2) and GF(251^2) run on
+# the lanes core, GF(257) on the integers mod p.
 FIELDS = [make_field(p, m) for p, m in
           [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (7, 2), (2, 8),
            (3, 4), (127, 1), (131, 1), (2, 9), (3, 6), (17, 2), (251, 2),
@@ -208,7 +208,7 @@ def test_dot_matches_reference(data):
 def test_axpy_and_scale_for_every_scalar(spec):
     """Every scalar's table, on rows holding the largest codes, where the
     packed sums come closest to overflowing a byte."""
-    kz = row_kernels(spec)
+    kz = spec._core
     rng = random.Random(spec.q)
     n = 12
     u = [spec.q - 1] * 3 + [rng.randrange(spec.q) for _ in range(n - 3)]

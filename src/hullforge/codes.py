@@ -56,7 +56,7 @@ class HullReport:
 
     ell is the hull dimension, hull None when ell == 0, and gramian_rank_g
     = rank(G G^T) = k - ell.  consistent checks rank(H H^T) == n - k - ell
-    for the dual's generator H (conjugate transposes for the hermitian form).
+    for a generator H of the dual (conjugate transposes for the hermitian form).
     """
     form: str
     hull: LinearCode | None
@@ -86,12 +86,16 @@ def dual(c: LinearCode, form: str = "euclidean") -> LinearCode | None:
     hermitian dual is the kernel of the entrywise-conjugated generator,
     which is exactly the set of v with <c, v>_H = 0 for every codeword c.
     """
+    ker = _parity_rows(c, form)
+    return make_code(c.spec, ker) if ker.rows else None
+
+
+def _parity_rows(c: LinearCode, form: str) -> MatrixFq:
+    """A basis of the dual, not canonical: the kernel of G (of the
+    conjugated G, hermitian); it has no rows when the dual is zero."""
     check_form(c.spec, form)
     g = c.gen if form == "euclidean" else c.gen.conjugate()
-    ker = g.kernel()
-    if ker.rows == 0:
-        return None
-    return make_code(c.spec, ker)
+    return g.kernel()
 
 
 def _hull_rows(s: MatrixFq) -> MatrixFq:
@@ -112,10 +116,14 @@ def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
 
 
 def _dual_gramian_rank(c: LinearCode, form: str) -> int:
-    """rank(H H^T) (H H^dagger, hermitian) for the generator H of the
-    dual; 0 when the dual is zero.  It equals n - k - ell."""
-    d = dual(c, form)
-    return 0 if d is None else d.gen.gramian(form).rank
+    """rank(H H^T) (H H^dagger, hermitian) for a generator H of the dual;
+    0 when the dual is zero.  It equals n - k - ell.
+
+    The rank does not depend on the basis: another generator is EH with
+    E invertible, and (EH)(EH)^dagger = E (H H^dagger) E^dagger.  So H is
+    the kernel basis, with no elimination to the canonical dual.
+    """
+    return _parity_rows(c, form).gramian(form).rank
 
 
 def hull_dimension_via_gramian(c: LinearCode, form: str = "euclidean") -> int:
@@ -222,53 +230,30 @@ def _iter_codewords(spec: FieldSpec, rows):
 
     Messages run in ascending base-q order (first row most significant).
     The yielded list is a reused internal buffer: read it, never keep it.
-    Each step applies the one message-digit change as a precomputed
-    scaled-row delta, so the amortized cost per codeword is O(n).
+    Each step adds the one message-digit change to the buffer with the
+    core's `add_into`, so the amortized cost per codeword is O(n).  The
+    step rows come from the core's `scale`: moving row r's digit from v
+    to v+1 adds (v+1 - v) row_r, and wrapping it from q-1 to 0 adds
+    -(q-1) row_r.
     """
-    k = len(rows)
-    if k == 0:
-        yield []
-        return
-    n = len(rows[0])
-    q = spec.q
+    k, n, q = len(rows), len(rows[0]), spec.q
+    core = spec._core
+    scale, add_into = core.scale, core.add_into
+    packed = [core.pack(row) for row in rows]
+    steps = [spec.sub(v + 1, v) for v in range(q - 1)]
+    delta = [[scale(s, row) for s in steps] for row in packed]
+    wrap = spec.neg(q - 1)
+    roll = [scale(wrap, row) for row in packed]
+
     c = [0] * n
     yield c
-
-    mul, sub = spec.mul, spec.sub
-    scaled = [[tuple(mul(v, x) for x in row) for v in range(q)] for row in rows]
-    # delta[r][v]: change to c when row r's message digit moves v -> v+1;
-    # roll[r]: change when it wraps q-1 -> 0.
-    delta = [[tuple(sub(s[v + 1][t], s[v][t]) for t in range(n))
-              for v in range(q - 1)] for s in scaled]
-    roll = [tuple(sub(0, s[q - 1][t]) for t in range(n)) for s in scaled]
-
-    add_t = spec._core.add_table
     digits = [0] * k                  # digits[j] drives row k-1-j
     for _ in range(q ** k - 1):
         j = 0
         while digits[j] == q - 1:
             digits[j] = 0
-            dr = roll[k - 1 - j]
-            if add_t is not None:
-                for t in range(n):
-                    x = dr[t]
-                    if x:
-                        c[t] = add_t[c[t]][x]
-            else:
-                for t in range(n):
-                    if dr[t]:
-                        c[t] = spec.add(c[t], dr[t])
+            add_into(c, roll[k - 1 - j])
             j += 1
-        dr = delta[k - 1 - j][digits[j]]
+        add_into(c, delta[k - 1 - j][digits[j]])
         digits[j] += 1
-        if add_t is not None:
-            for t in range(n):
-                x = dr[t]
-                if x:
-                    c[t] = add_t[c[t]][x]
-        else:
-            for t in range(n):
-                if dr[t]:
-                    c[t] = spec.add(c[t], dr[t])
         yield c
-

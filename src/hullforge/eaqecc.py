@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (BudgetExceeded, LinearCode, _dual_gramian_rank, dual,
-                    hull_dimension_via_gramian, make_code, min_distance)
+                    hull_dimension_via_gramian, make_code, min_distance,
+                    resolve_budget)
 from .diag import diagonalize_odd
 from .matfq import _stack, check_form, dot
 
@@ -114,16 +115,19 @@ def base_params(code: LinearCode, form: str = "euclidean", budget=None):
     for its dual, whose dimension is n-k.
     """
     ell = hull_dimension_via_gramian(code, form)
-    dual_code = dual(code, form)
+    cap = resolve_budget(budget)
     n, k = code.n, code.k
     q_out = _qudit_dimension(code.spec, form)
     tag = "base-hermitian" if form == "hermitian" else "base-euclidean"
 
-    d = _distance_or_none(code, budget)
+    d = _distance_or_none(code, cap)
     primary = _record(n, k - ell, d, (d, d) if d is not None else (1, n - k + 1),
                       n - k - ell, q_out, tag, 0)
 
-    d_dual = _distance_or_none(dual_code, budget)
+    # The dual has dimension n - k: build it only when `min_distance`
+    # would not refuse it.
+    dual_code = dual(code, form) if code.spec.q ** (n - k) <= cap else None
+    d_dual = _distance_or_none(dual_code, cap)
     secondary = _record(n, n - k - ell, d_dual,
                         (d_dual, d_dual) if d_dual is not None else (1, min(n, k + 1)),
                         k - ell, q_out, "base-dual-side", 0)

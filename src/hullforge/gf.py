@@ -22,13 +22,15 @@ Field orders are capped at 2^16.  Every field has one arithmetic core,
 picked when the field is built, and every operation goes through it:
 the element operations add, mul, neg, inv and conj, to which the
 methods of FieldSpec delegate, and the row operations that the inner
-loops of `matfq` and `diag` run on:
+loops of `matfq`, `diag` and the codeword walks run on:
 
 * ``pack(codes)``     a row from any sequence of element codes
 * ``axpy(u, f, v)``   u + f*v, on rows
 * ``scale(f, v)``     f*v, on rows
 * ``dot(u, v)``       sum of u_i v_i, on any sequences of codes
 * ``dot_conj(u, v)``  sum of u_i conj(v_i), on fields of square order
+* ``add_into(buf, row)``  buf += row in place, for a list buf and any
+  sequence of codes row, skipping the zero entries of row
 
 A row is indexed, iterated and tested like a sequence of codes.  Every
 operation is bound once, when its core is built, so a hot loop loads
@@ -84,11 +86,11 @@ Python-level call per entry:
   over GF(p^m) the products come from ``mul_table`` and are summed with
   XOR (characteristic 2) or as wide digit fields reduced once (odd).
 
-Only the codeword walks of `codes` and `oracle` look past the core's
-operations: they index its ``add_table`` inline, and fall back to
-`add` on the other two cores, whose ``add_table`` is None.  Square
-roots take Euler's criterion and Tonelli-Shanks in odd characteristic,
-and a^(q/2) in characteristic 2, on every field.
+`add_into` is the step of the codeword walks in `codes` and `oracle`,
+which change a few entries of one buffer per codeword: `_Tables` indexes
+its ``add_table`` once per nonzero entry, and the other two cores call
+their `add`.  Square roots take Euler's criterion and Tonelli-Shanks in
+odd characteristic, and a^(q/2) in characteristic 2, on every field.
 """
 
 from __future__ import annotations
@@ -222,12 +224,20 @@ class _Core:
     """The operations of a core, described in the module docstring.
 
     conj and dot_conj are None over fields whose order is not a square.
-    add_table, the addition table with list rows, is None but in
-    `_Tables`.
     """
 
     __slots__ = ("add", "mul", "neg", "inv", "conj",
-                 "pack", "axpy", "scale", "dot", "dot_conj", "add_table")
+                 "pack", "axpy", "scale", "dot", "dot_conj", "add_into")
+
+
+def _add_into(add):
+    """`add_into` on a core's element addition."""
+    def add_into(buf, row):
+        for t, x in enumerate(row):
+            if x:
+                buf[t] = add(buf[t], x)
+
+    return add_into
 
 
 class _Prime(_Core):
@@ -261,7 +271,7 @@ class _Prime(_Core):
 
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, None
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, None
-        self.add_table = None
+        self.add_into = _add_into(add)
 
 
 def _lane_shape(p, m, terms):
@@ -465,7 +475,7 @@ class _Lanes(_Core):
 
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, conj
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, dot_conj
-        self.add_table = None
+        self.add_into = _add_into(add)
 
 
 def _inverse_binary(a, g):
@@ -484,7 +494,7 @@ class _Tables(_Core):
     """The core of a field with q <= 256: tables derived from `base`, the
     `_Prime` or `_Lanes` core of the same field."""
 
-    __slots__ = ("mul_table",)
+    __slots__ = ("mul_table", "add_table")
 
     def __init__(self, base, p, m, subfield_order):
         q = p ** m
@@ -515,6 +525,11 @@ class _Tables(_Core):
 
         def add(a, b):
             return add_table[a][b]
+
+        def add_into(buf, row):
+            for t, x in enumerate(row):
+                if x:
+                    buf[t] = add_table[buf[t]][x]
 
         def mul(a, b):
             return mult[a][b]
@@ -555,7 +570,7 @@ class _Tables(_Core):
                 return bytes(map(getitem, map(add_row, u), v.translate(mt[f])))
 
         self.add, self.mul, self.neg, self.inv = add, mul, neg.__getitem__, inv.__getitem__
-        self.pack, self.axpy, self.scale = bytes, axpy, scale
+        self.pack, self.axpy, self.scale, self.add_into = bytes, axpy, scale, add_into
         self.conj = self.dot_conj = None
         if m == 1:
             def dot(u, v):

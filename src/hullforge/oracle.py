@@ -75,7 +75,7 @@ def hull_by_enumeration(c: LinearCode, form: str = "euclidean", budget=None):
     # values incrementally as the message odometer ticks.
     t_mat = [[_form_dot(spec, ri, rj, form) for rj in rows] for ri in rows]
 
-    mul, sub, add = spec.mul, spec.sub, spec.add
+    mul, sub = spec.mul, spec.sub
     scaled_rows = [[tuple(mul(v, x) for x in row) for v in range(q)]
                    for row in rows]
     delta_rows = [[tuple(sub(s[v + 1][t], s[v][t]) for t in range(n))
@@ -89,7 +89,7 @@ def hull_by_enumeration(c: LinearCode, form: str = "euclidean", budget=None):
     roll_t = [tuple(mul(rollcode, t_mat[i][j]) for j in range(k))
               for i in range(k)]
 
-    add_t = spec._core.add_table
+    add_into = spec._core.add_into
     c_buf = [0] * n
     s_buf = [0] * k
     members = [tuple(c_buf)]          # the zero word is always in the hull
@@ -99,44 +99,14 @@ def hull_by_enumeration(c: LinearCode, form: str = "euclidean", budget=None):
         while digits[j] == q - 1:
             digits[j] = 0
             i = k - 1 - j
-            dr, dt = roll_rows[i], roll_t[i]
-            if add_t is not None:
-                for t in range(n):
-                    x = dr[t]
-                    if x:
-                        c_buf[t] = add_t[c_buf[t]][x]
-                for t in range(k):
-                    x = dt[t]
-                    if x:
-                        s_buf[t] = add_t[s_buf[t]][x]
-            else:
-                for t in range(n):
-                    if dr[t]:
-                        c_buf[t] = add(c_buf[t], dr[t])
-                for t in range(k):
-                    if dt[t]:
-                        s_buf[t] = add(s_buf[t], dt[t])
+            add_into(c_buf, roll_rows[i])
+            add_into(s_buf, roll_t[i])
             j += 1
         i = k - 1 - j
         v = digits[j]
         digits[j] += 1
-        dr, dt = delta_rows[i][v], delta_t[i][v]
-        if add_t is not None:
-            for t in range(n):
-                x = dr[t]
-                if x:
-                    c_buf[t] = add_t[c_buf[t]][x]
-            for t in range(k):
-                x = dt[t]
-                if x:
-                    s_buf[t] = add_t[s_buf[t]][x]
-        else:
-            for t in range(n):
-                if dr[t]:
-                    c_buf[t] = add(c_buf[t], dr[t])
-            for t in range(k):
-                if dt[t]:
-                    s_buf[t] = add(s_buf[t], dt[t])
+        add_into(c_buf, delta_rows[i][v])
+        add_into(s_buf, delta_t[i][v])
         if not any(s_buf):
             members.append(tuple(c_buf))
 

@@ -7,7 +7,7 @@ from test_diag import shaped_code
 from test_rows import FIELDS
 
 from hullforge import oracle
-from hullforge.codes import (BudgetExceeded, dual, hull,
+from hullforge.codes import (BudgetExceeded, _iter_codewords, dual, hull,
                              hull_dimension_via_gramian, is_hull_maximal_so_in,
                              is_lcd, is_self_orthogonal, make_code,
                              min_distance, random_code)
@@ -245,6 +245,18 @@ def test_min_distance_pinned(hamming):
     assert min_distance(code(F2, [[1, 1, 1]])) == 3
     assert min_distance(code(F2, [[1, 0], [0, 1]])) == 1
     assert min_distance(hamming) == 3
+
+
+@pytest.mark.parametrize("spec", [make_field(257, 1), make_field(17, 2)], ids=repr)
+def test_walk_without_tables_against_oracle(spec):
+    """The walk on the integers mod p and on the lanes core, which step
+    with the core's `add`: with k = 2 the last digit wraps, so the roll
+    rows run too.  Both walks visit the messages in the same order, which
+    also catches a wrong roll row that only permutes the words."""
+    c = random_code(spec, 3, 2, 0)
+    words = [tuple(w) for w in _iter_codewords(spec, c.gen.row_list())]
+    assert words == list(oracle.enumerate_codewords(c))
+    assert min_distance(c) == oracle.min_distance_by_enumeration(c)
 
 
 def test_min_distance_budget():

@@ -222,6 +222,21 @@ def test_axpy_and_scale_for_every_scalar(spec):
     assert list(pu) == u and list(pv) == v          # inputs left alone
 
 
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_add_into_matches_reference(spec, data):
+    kz = spec._core
+    n = data.draw(st.integers(0, 10))
+    u, v = (data.draw(st.lists(entries(spec), min_size=n, max_size=n)) for _ in range(2))
+    want = [spec.add(x, y) for x, y in zip(u, v)]
+    for row in (kz.pack(v), tuple(v)):
+        buf = list(u)
+        assert kz.add_into(buf, row) is None            # in place
+        assert buf == want
+        assert list(row) == v
+
+
 def digit_sum(spec, a):
     total = 0
     while a:

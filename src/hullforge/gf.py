@@ -31,6 +31,8 @@ loops of `matfq`, `diag` and the codeword walks run on:
 * ``dot_conj(u, v)``  sum of u_i conj(v_i), on fields of square order
 * ``add_into(buf, row)``  buf += row in place, for a list buf and any
   sequence of codes row, skipping the zero entries of row
+* ``matmul(a_rows, b_rows)``  the rows of A·B, from the rows of A and
+  the rows of B as sequences of codes; B has at least one row
 
 A row is indexed, iterated and tested like a sequence of codes.  Every
 operation is bound once, when its core is built, so a hot loop loads
@@ -38,7 +40,8 @@ it into a local.  There are three cores.
 
 `_Prime` serves GF(p) with p > 256: integers mod p.  Rows are lists;
 `axpy` and `scale` are list comprehensions mod p, and `dot` is
-``sum(map(mul, u, v)) % p``, reduced once.
+``sum(map(mul, u, v)) % p``, reduced once.  `matmul` makes one such
+reduction per entry of the product, of a row of A and a column of B.
 
 `_Lanes` serves GF(p^m) with m >= 2 and q > 256.  It spreads the m
 base-p digits of a code into fixed-width bit lanes of one Python int:
@@ -64,6 +67,9 @@ and per entry adds the spread digits of u_i to the big-int product of
 the spread f and v_i before one reduction; `dot` and `dot_conj` sum
 the products of spread codes unreduced in chunks of 32 (16 for
 `dot_conj`), reduce each chunk once and add the reduced chunks.
+`matmul` spreads every entry of A and of B once per call and sums
+the products of each entry of A·B unreduced, with one reduction per
+32 of them.
 
 `_Tables` serves every field with q <= 256.  It holds dense tables,
 derived from the `_Prime` or `_Lanes` core of the same field: the
@@ -84,7 +90,9 @@ Python-level call per entry:
   through the rows of ``add_table``, one lookup per entry done in C;
 * dot products over GF(p) are ``sum(map(mul, u, v)) % p``, reduced once;
   over GF(p^m) the products come from ``mul_table`` and are summed with
-  XOR (characteristic 2) or as wide digit fields reduced once (odd).
+  XOR (characteristic 2) or as wide digit fields reduced once (odd);
+* `matmul` builds each row of the product with one `axpy` of the
+  matching row of B per nonzero entry of the row of A.
 
 `add_into` is the step of the codeword walks in `codes` and `oracle`,
 which change a few entries of one buffer per codeword: `_Tables` indexes
@@ -224,10 +232,12 @@ class _Core:
     """The operations of a core, described in the module docstring.
 
     conj and dot_conj are None over fields whose order is not a square.
+    matmul(a_rows, b_rows) returns the rows of A·B as rows of the core
+    (bytes or lists), for a B with at least one row.
     """
 
     __slots__ = ("add", "mul", "neg", "inv", "conj",
-                 "pack", "axpy", "scale", "dot", "dot_conj", "add_into")
+                 "pack", "axpy", "scale", "dot", "dot_conj", "add_into", "matmul")
 
 
 def _add_into(add):
@@ -269,9 +279,13 @@ class _Prime(_Core):
         def dot(u, v):
             return sum(map(times, u, v)) % p
 
+        def matmul(a_rows, b_rows):
+            cols = list(zip(*b_rows))
+            return [[sum(map(times, row, col)) % p for col in cols] for row in a_rows]
+
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, None
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, None
-        self.add_into = _add_into(add)
+        self.add_into, self.matmul = _add_into(add), matmul
 
 
 def _lane_shape(p, m, terms):
@@ -326,6 +340,7 @@ class _Lanes(_Core):
     __slots__ = ()
 
     def __init__(self, p, m, modulus):
+        times = operator.mul
         w, k = _lane_shape(p, m, _CORE_TERMS)
         h = (m + 1) // 2
         half = p ** h
@@ -453,6 +468,16 @@ class _Lanes(_Core):
             return total([(lo[x % half] + hi[x // half]) * (lo[y % half] + hi[y // half])
                           for x, y in zip(u, v) if x and y], _CORE_TERMS)
 
+        def matmul(a_rows, b_rows):
+            # every entry spread once; each output entry sums its products
+            # unreduced and is finished once per _CORE_TERMS of them
+            cols = list(zip(*[[lo[y % half] + hi[y // half] for y in row] for row in b_rows]))
+            rows = [[lo[x % half] + hi[x // half] for x in row] for row in a_rows]
+            if len(b_rows) <= _CORE_TERMS:
+                return [[finish(sum(map(times, row, col))) for col in cols] for row in rows]
+            return [[total(list(map(times, row, col)), _CORE_TERMS) for col in cols]
+                    for row in rows]
+
         conj = dot_conj = None
         if m % 2 == 0:
             # the images of 1, x, ..., x^(m-1) under x -> x^(p^(m/2)),
@@ -475,7 +500,7 @@ class _Lanes(_Core):
 
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, conj
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, dot_conj
-        self.add_into = _add_into(add)
+        self.add_into, self.matmul = _add_into(add), matmul
 
 
 def _inverse_binary(a, g):
@@ -569,8 +594,21 @@ class _Tables(_Core):
             def axpy(u, f, v):
                 return bytes(map(getitem, map(add_row, u), v.translate(mt[f])))
 
+        def matmul(a_rows, b_rows):
+            brows = [bytes(r) for r in b_rows]
+            zero = bytes(len(brows[0]))
+            out = []
+            for row in a_rows:
+                acc = zero
+                for x, brow in zip(row, brows):
+                    if x:
+                        acc = axpy(acc, x, brow)
+                out.append(acc)
+            return out
+
         self.add, self.mul, self.neg, self.inv = add, mul, neg.__getitem__, inv.__getitem__
         self.pack, self.axpy, self.scale, self.add_into = bytes, axpy, scale, add_into
+        self.matmul = matmul
         self.conj = self.dot_conj = None
         if m == 1:
             def dot(u, v):

@@ -9,7 +9,8 @@ relies on for reproducible fixtures.
 Elimination, products, the pair reduction and `dot` run on the row
 operations of the field's arithmetic core (`gf`), bound when the field
 is built: bytes rows with translate tables for q <= 256, lists on the
-core's lanes or on integers mod p above that.
+core's lanes or on integers mod p above that.  A product, and with it
+every Gramian, is one call of the core's `matmul`.
 
 Entries are checked where they enter from outside: `MatrixFq(...)` and
 `MatrixFq.from_rows` reject an entry that is not an int in [0, q).
@@ -120,20 +121,12 @@ class MatrixFq:
             raise ValueError(f"shape mismatch: ({self.rows}x{self.cols}) @ "
                              f"({other.rows}x{other.cols})")
         spec = self.spec
-        core = spec._core
-        axpy, pack = core.axpy, core.pack
         n, k, m = self.rows, self.cols, other.cols
+        if not k:
+            return MatrixFq.zeros(spec, n, m)
         a, b = self.entries, other.entries
-        brows = [pack(b[t * m:(t + 1) * m]) for t in range(k)]
-        zero = pack((0,) * m)
-        out = []
-        for i in range(n):
-            acc = zero
-            for x, brow in zip(a[i * k:(i + 1) * k], brows):
-                if x:
-                    acc = axpy(acc, x, brow)
-            out.append(acc)
-        return _stack(spec, out, m)
+        return _stack(spec, spec._core.matmul([a[i * k:(i + 1) * k] for i in range(n)],
+                                              [b[t * m:(t + 1) * m] for t in range(k)]), m)
 
     def gramian(self, form: str = "euclidean") -> "MatrixFq":
         """G @ G^T for the euclidean form, G @ G^dagger for the hermitian."""

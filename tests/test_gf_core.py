@@ -2,10 +2,13 @@
 multiplies digit lists with `_poly_mul` and reduces them with
 `_poly_mod`, over fields on both sides of the table limit."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hullforge
 from hullforge.gf import _poly_mod, _poly_mul, _Tables, make_field
 from test_rows import FIELDS
 
@@ -180,3 +183,19 @@ def test_tables_equal_schoolbook_tables(spec):
     for y in range(q):
         roots.setdefault(mul[y][y], y)
     assert [spec.sqrt(a) for a in range(q)] == [roots.get(a) for a in range(q)]
+
+
+# ---------------------------------------------------------------
+# the cores stay behind gf
+# ---------------------------------------------------------------
+
+def test_no_module_but_gf_names_a_core():
+    """Every module but `gf` reaches field arithmetic through the
+    operations every core has, so none can branch on the kind of core."""
+    package = Path(hullforge.__file__).parent
+    sources = sorted(path for path in package.glob("*.py") if path.name != "gf.py")
+    assert sources
+    for path in sources:
+        text = path.read_text()
+        for name in ("_Tables", "_Lanes", "_Prime", "mul_table", "add_table"):
+            assert name not in text, f"{path.name} names {name}"

@@ -75,6 +75,20 @@ def naive_matmul(a, b):
     return out
 
 
+def naive_gramian(m, form):
+    """S[i][j] = sum_t g_it conj(g_jt), conj the identity for the euclidean form."""
+    spec = m.spec
+    conj = spec.conjugate if form == "hermitian" else (lambda y: y)
+    out = []
+    for i in range(m.rows):
+        for j in range(m.rows):
+            acc = 0
+            for t in range(m.cols):
+                acc = spec.add(acc, spec.mul(m[i, t], conj(m[j, t])))
+            out.append(acc)
+    return out
+
+
 def naive_dot(spec, u, v, form):
     acc = 0
     for x, y in zip(u, v):
@@ -179,6 +193,19 @@ def test_matmul_matches_reference(data):
 
 @PROPERTY
 @given(st.data())
+def test_gramian_matches_reference(data):
+    spec = data.draw(fields)
+    n, k = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
+    g = data.draw(matrices(spec, n, k)) if k else MatrixFq.zeros(spec, n, 0)
+    forms = ["euclidean"] + (["hermitian"] if spec.subfield_order else [])
+    for form in forms:
+        s = g.gramian(form)
+        assert (s.rows, s.cols) == (n, n)
+        assert list(s.entries) == naive_gramian(g, form)
+
+
+@PROPERTY
+@given(st.data())
 def test_pair_reduce_matches_reference(data):
     spec = data.draw(fields)
     k = data.draw(st.integers(0, 6))
@@ -275,3 +302,20 @@ def test_dot_on_long_rows_of_largest_codes(spec, n):
         for v in rows:
             for form in forms:
                 assert dot(spec, u, v, form) == naive_dot(spec, u, v, form)
+
+
+@pytest.mark.parametrize("spec", [f for f in FIELDS if f.q > 256], ids=lambda s: f"q{s.q}")
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 64, 300])
+def test_matmul_on_long_rows_of_largest_codes(spec, k):
+    """Products sum the terms of each entry unreduced, finished in chunks
+    the lanes hold: rows of the largest code fill every lane to its bound,
+    past the chunk length too.  The hermitian Gramian on rows of
+    `conj_lane_filler` fills them with conjugates."""
+    rng = random.Random(k)
+    rows = [[spec.q - 1] * k, [spec.q - 1] * (k - 1) + [rng.randrange(spec.q)]]
+    a = MatrixFq.from_rows(spec, rows)
+    b = a.transpose()
+    assert list((a @ b).entries) == naive_matmul(a, b)
+    if spec.subfield_order:
+        g = MatrixFq.from_rows(spec, rows + [[conj_lane_filler(spec)] * k])
+        assert list(g.gramian("hermitian").entries) == naive_gramian(g, "hermitian")

@@ -33,10 +33,16 @@ loops of `matfq`, `diag` and the codeword walks run on:
   sequence of codes row, skipping the zero entries of row
 * ``matmul(a_rows, b_rows)``  the rows of A·B, from the rows of A and
   the rows of B as sequences of codes; B has at least one row
+* ``rref(rows)``      (rows, pivots): the reduced row echelon form of
+  the matrix with the given rows of codes, and its pivot columns
+* ``rank(rows)``      the rank of the matrix with the given rows
 
 A row is indexed, iterated and tested like a sequence of codes.  Every
 operation is bound once, when its core is built, so a hot loop loads
-it into a local.  There are three cores.
+it into a local.  There are three cores.  `_Tables` and `_Prime`
+eliminate one pivot at a time on their `axpy` and `scale`, and their
+`rank` counts the pivots of that loop; `_Lanes` eliminates on packed
+rows, described below.
 
 `_Prime` serves GF(p) with p > 256: integers mod p.  Rows are lists;
 `axpy` and `scale` are list comprehensions mod p, and `dot` is
@@ -70,6 +76,20 @@ the products of spread codes unreduced in chunks of 32 (16 for
 `matmul` spreads every entry of A and of B once per call and sums
 the products of each entry of A·B unreduced, with one reduction per
 32 of them.
+
+Elimination on `_Lanes` packs a row into one int, entry t in slot t of
+2m - 1 lanes, but only once a row operation touches it: pivot tests and
+factors read an untouched row's codes, and it comes back as it was
+given.  A row operation is one big-int multiply-add and one reduction
+of the whole row: every lane mod p at once, then the high lanes
+m .. 2m - 2 of every slot fold back by polynomial Barrett reduction,
+whose quotient floor(A*mu / x^(m-2)), for A the high lanes and
+mu = x^(2m-2) div the modulus, is exact for every slot polynomial, then
+every lane mod p again.  Every product stays in its slot and every lane
+holds at most 3m(p - 1)^2, within the capacity of 32 products.
+`rank` runs forward elimination without fractions, row <- pv*row - e*prow
+below each pivot, so it inverts nothing and reduces no row above a
+pivot; `rref` inverts each pivot once to normalize its row.
 
 `_Tables` serves every field with q <= 256.  It holds dense tables,
 derived from the `_Prime` or `_Lanes` core of the same field: the
@@ -164,6 +184,19 @@ def _poly_mod(f, g, p):
     return f
 
 
+def _poly_div(f, g, p):
+    """Quotient of f by a monic polynomial g."""
+    f = list(f)
+    dg = len(g) - 1
+    quotient = [0] * (len(f) - dg)
+    for shift in range(len(quotient) - 1, -1, -1):
+        lead = quotient[shift] = f[shift + dg]
+        if lead:
+            for i in range(dg + 1):
+                f[shift + i] = (f[shift + i] - lead * g[i]) % p
+    return quotient
+
+
 def _monic_polys(p, degree):
     """All monic polynomials of the given degree, low coefficients first."""
     for tail in product(range(p), repeat=degree):
@@ -233,11 +266,56 @@ class _Core:
 
     conj and dot_conj are None over fields whose order is not a square.
     matmul(a_rows, b_rows) returns the rows of A·B as rows of the core
-    (bytes or lists), for a B with at least one row.
+    (bytes or lists), for a B with at least one row.  rref(rows) and
+    rank(rows) take the rows of a matrix as sequences of codes; rref
+    returns the rows of its reduced row echelon form, each a sequence
+    of codes (a row no operation touched may be the given one), and the
+    list of pivot columns.
     """
 
     __slots__ = ("add", "mul", "neg", "inv", "conj",
-                 "pack", "axpy", "scale", "dot", "dot_conj", "add_into", "matmul")
+                 "pack", "axpy", "scale", "dot", "dot_conj", "add_into", "matmul",
+                 "rref", "rank")
+
+
+def _stepwise_elimination(pack, axpy, scale, neg, inv):
+    """`rref` and `rank` of `_Tables` and `_Prime`: Gauss-Jordan elimination
+    one pivot at a time on the core's `axpy` and `scale`, every row packed
+    first.  The rank is the pivot count of the same loop."""
+    def rref(rows):
+        rows = [pack(row) for row in rows]
+        nrows = len(rows)
+        ncols = len(rows[0]) if rows else 0
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            pr = None
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    pr = i
+                    break
+            if pr is None:
+                continue
+            if pr != r:
+                rows[r], rows[pr] = rows[pr], rows[r]
+            pv = rows[r][c]
+            if pv != 1:
+                rows[r] = scale(inv(pv), rows[r])
+            prow = rows[r]
+            for i in range(nrows):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = axpy(rows[i], neg(f), prow)
+            pivots.append(c)
+            r += 1
+        return rows, pivots
+
+    def rank(rows):
+        return len(rref(rows)[1])
+
+    return rref, rank
 
 
 def _add_into(add):
@@ -286,6 +364,7 @@ class _Prime(_Core):
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, None
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, None
         self.add_into, self.matmul = _add_into(add), matmul
+        self.rref, self.rank = _stepwise_elimination(list, axpy, scale, neg, inv)
 
 
 def _lane_shape(p, m, terms):
@@ -353,6 +432,7 @@ class _Lanes(_Core):
         unhi = {s >> cut: a * half for a, s in enumerate(hi)}
         na = m // 2                   # high lanes folded by the first table
         sa, sb = w * m, w * (m + na)
+        lo_mask = (1 << cut) - 1
 
         if p == 2:
             ones = _lane_ones(2 * m - 1, w)
@@ -379,7 +459,7 @@ class _Lanes(_Core):
         else:
             magic = -(-(1 << k) // p)                       # ceil(2^k / p)
             quotients = _lane_ones(2 * m - 1, w) * ((1 << (w - k)) - 1)
-            low_mask, a_mask, lo_mask = (1 << sa) - 1, (1 << (w * na)) - 1, (1 << cut) - 1
+            low_mask, a_mask = (1 << sa) - 1, (1 << (w * na)) - 1
 
             def mod_p(s):
                 return s - (s * magic >> k & quotients) * p
@@ -478,6 +558,156 @@ class _Lanes(_Core):
             return [[total(list(map(times, row, col)), _CORE_TERMS) for col in cols]
                     for row in rows]
 
+        # Elimination on packed rows.  A packed row is one int that holds
+        # the spread code of entry t in slot t, bits [slot*t, slot*(t+1)):
+        # 2m - 1 lanes, room for a product of two spread codes.  Only a
+        # row that a row operation touches is packed; the others are read
+        # as codes and come back as they were given.  A row operation,
+        # row <- pv*row + (-e)*prow, is one big-int multiply-add and one
+        # `fold_row`, which reduces every slot at once to the spread code
+        # of its polynomial F mod g:
+        #
+        # * every lane mod p, as in `mod_p`: a lane's v * magic stays in
+        #   its own lane, so a row of slots reduces like one product;
+        # * F has degree <= 2m - 2; with A its lanes m .. 2m - 2 and
+        #   mu = x^(2m-2) div g, the quotient F div g is floor(A*mu / x^(m-2))
+        #   (Barrett reduction is exact for polynomials: A*mu - x^(m-2) *
+        #   (F div g) has degree below m - 2), so it is the lanes
+        #   m - 2 .. 2m - 4 of A*mu reduced mod p;
+        # * F + (F div g)*(-g) is F mod g, so one more reduction mod p
+        #   leaves it in the low m lanes and zeros above.
+        #
+        # Every product stays in its slot: A*mu spans 2m - 3 lanes and
+        # (F div g)*(-g) spans 2m - 1.  Every lane stays within the
+        # _CORE_TERMS capacity: A*mu and (F div g)*(-g) sum at most
+        # (m - 1)(p - 1)^2 per lane, plus one reduced digit.  A row
+        # operation negates e as p*ones - e, whose lanes are at most p,
+        # so (-e)*prow sums at most m*p(p - 1) <= 2m(p - 1)^2 per lane,
+        # and pv*row at most m(p - 1)^2: 3m(p - 1)^2 in all.
+        slot = (2 * m - 1) * w
+        entry_mask = (1 << (w * m)) - 1               # the low m lanes of a slot
+        high_mask = (1 << (w * (m - 1))) - 1          # m - 1 lanes
+        lane_masks = ones if p == 2 else quotients    # `mod_p` over one slot
+        mu = _poly_div([0] * (2 * m - 2) + [1], modulus, p)
+        mu = sum(d << (w * i) for i, d in enumerate(mu))
+        neg_g = sum((-d % p) << (w * i) for i, d in enumerate(modulus))
+        p_ones = p * _lane_ones(m, w)
+        high_cut, mu_cut = w * m, w * (m - 2)
+
+        if p == 2:
+            def fold_row(s, lanes, highs):
+                s &= lanes
+                t = (s >> high_cut & highs) * mu & lanes
+                return (s + (t >> mu_cut & highs) * neg_g) & lanes
+        else:
+            def fold_row(s, lanes, highs):
+                s -= (s * magic >> k & lanes) * p
+                t = (s >> high_cut & highs) * mu
+                t -= (t * magic >> k & lanes) * p
+                s += (t >> mu_cut & highs) * neg_g
+                return s - (s * magic >> k & lanes) * p
+
+        def pack_row(row):
+            s = 0
+            for a in reversed(row):
+                s = s << slot | lo[a % half] + hi[a // half]
+            return s
+
+        def unpack_row(s, n):
+            out = []
+            for _ in range(n):
+                x = s & entry_mask
+                out.append(unlo[x & lo_mask] + unhi[x >> cut])
+                s >>= slot
+            return out
+
+        def row_masks(n):
+            """The masks of `fold_row` for rows of n slots."""
+            repeat, count = 1, 1
+            while count < n:
+                repeat |= repeat << (slot * count)
+                count *= 2
+            repeat &= (1 << (slot * n)) - 1
+            return repeat * lane_masks, repeat * high_mask
+
+        def rref(rows, reduced=True):
+            """(rows, pivots) of the reduced row echelon form; with reduced
+            false, the pivots of fraction-free forward elimination, which
+            inverts nothing, and rows the caller must not read."""
+            nrows = len(rows)
+            n = len(rows[0]) if rows else 0
+            rows = list(rows)
+            pivots = []
+            if not n:
+                return rows, pivots
+            lanes = highs = None          # row_masks(n), on the first row operation
+            packed = [None] * nrows
+            r = 0
+            for c in range(n):
+                if r == nrows:
+                    break
+                shift = slot * c
+                for i in range(r, nrows):
+                    s = packed[i]
+                    if rows[i][c] if s is None else s >> shift & entry_mask:
+                        break
+                else:
+                    continue
+                if i != r:
+                    rows[r], rows[i] = rows[i], rows[r]
+                    packed[r], packed[i] = packed[i], packed[r]
+                # the pivot row is packed only once a row operation reads it
+                prow = packed[r]
+                if reduced:
+                    if prow is None:
+                        pv = rows[r][c]
+                    else:
+                        pv = prow >> shift & entry_mask
+                        pv = unlo[pv & lo_mask] + unhi[pv >> cut]
+                    if pv != 1:
+                        if lanes is None:
+                            lanes, highs = row_masks(n)
+                        pv = inv(pv)
+                        prow = packed[r] = fold_row(
+                            (lo[pv % half] + hi[pv // half]) * (prow or pack_row(rows[r])),
+                            lanes, highs)
+                        pv = 1
+                    targets = range(nrows)
+                else:
+                    if prow is None:
+                        pv = rows[r][c]
+                        pv = lo[pv % half] + hi[pv // half]
+                    else:
+                        pv = prow >> shift & entry_mask
+                    targets = range(r + 1, nrows)
+                for i in targets:
+                    s = packed[i]
+                    if s is None:
+                        e = rows[i][c]
+                        if not e or i == r:
+                            continue
+                        e = lo[e % half] + hi[e // half]
+                        s = pack_row(rows[i])
+                    else:
+                        e = s >> shift & entry_mask
+                        if not e or i == r:
+                            continue
+                    if prow is None:
+                        prow = pack_row(rows[r])
+                        if lanes is None:
+                            lanes, highs = row_masks(n)
+                    packed[i] = fold_row(pv * s + (p_ones - e) * prow, lanes, highs)
+                pivots.append(c)
+                r += 1
+            if reduced and lanes is not None:     # some row was packed
+                for i, s in enumerate(packed):
+                    if s is not None:
+                        rows[i] = unpack_row(s, n)
+            return rows, pivots
+
+        def rank(rows):
+            return len(rref(rows, False)[1])
+
         conj = dot_conj = None
         if m % 2 == 0:
             # the images of 1, x, ..., x^(m-1) under x -> x^(p^(m/2)),
@@ -500,7 +730,7 @@ class _Lanes(_Core):
 
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, conj
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, dot_conj
-        self.add_into, self.matmul = _add_into(add), matmul
+        self.add_into, self.matmul, self.rref, self.rank = _add_into(add), matmul, rref, rank
 
 
 def _inverse_binary(a, g):
@@ -609,6 +839,7 @@ class _Tables(_Core):
         self.add, self.mul, self.neg, self.inv = add, mul, neg.__getitem__, inv.__getitem__
         self.pack, self.axpy, self.scale, self.add_into = bytes, axpy, scale, add_into
         self.matmul = matmul
+        self.rref, self.rank = _stepwise_elimination(bytes, axpy, self.scale, self.neg, self.inv)
         self.conj = self.dot_conj = None
         if m == 1:
             def dot(u, v):

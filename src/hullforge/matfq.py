@@ -9,11 +9,14 @@ relies on for reproducible fixtures.
 Elimination, products, the pair reduction and `dot` run on the row
 operations of the field's arithmetic core (`gf`), bound when the field
 is built: bytes rows with translate tables for q <= 256, lists on the
-core's lanes or on integers mod p above that.  A product, and with it
-every Gramian, is one call of the core's `matmul`.
+core's lanes or on integers mod p above that.  `rref` is one call of
+the core's `rref`, and `rank` one call of the core's `rank`, which
+forms no reduced rows.  A product, and with it every Gramian, is one
+call of the core's `matmul`.
 
 Entries are checked where they enter from outside: `MatrixFq(...)` and
-`MatrixFq.from_rows` reject an entry that is not an int in [0, q).
+`MatrixFq.from_rows` reject an entry that is not an int in [0, q),
+a bool included.
 Matrices the package computes itself are built by `_matrix`, which
 skips that per-entry check.
 """
@@ -49,7 +52,8 @@ class MatrixFq:
                              f"{len(entries)} entries")
         q = spec.q
         for e in entries:
-            if not isinstance(e, int) or not 0 <= e < q:
+            # type, not isinstance: a bool is an int but not a code
+            if type(e) is not int or not 0 <= e < q:
                 raise ValueError(f"entry {e!r} out of range for {spec!r}")
         self.spec = spec
         self.rows = rows
@@ -86,7 +90,8 @@ class MatrixFq:
         return self.entries[i * c:(i + 1) * c]
 
     def row_list(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
+        c, e = self.cols, self.entries
+        return [e[i * c:(i + 1) * c] for i in range(self.rows)]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -144,41 +149,12 @@ class MatrixFq:
             (R, pivot_columns, rank) where R is row-equivalent to self
             with leading ones and zeros above and below each pivot.
         """
-        spec = self.spec
-        core = spec._core
-        axpy, scale, neg, inv, pack = core.axpy, core.scale, core.neg, core.inv, core.pack
-        nrows, ncols = self.rows, self.cols
-        e = self.entries
-        rows = [pack(e[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pr = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            if pv != 1:
-                rows[r] = scale(inv(pv), rows[r])
-            prow = rows[r]
-            for i in range(nrows):
-                f = rows[i][c]
-                if f and i != r:
-                    rows[i] = axpy(rows[i], neg(f), prow)
-            pivots.append(c)
-            r += 1
-        return _stack(spec, rows, ncols), tuple(pivots), r
+        rows, pivots = self.spec._core.rref(self.row_list())
+        return _stack(self.spec, rows, self.cols), tuple(pivots), len(pivots)
 
     @property
     def rank(self) -> int:
-        return self.rref()[2]
+        return self.spec._core.rank(self.row_list())
 
     def kernel(self) -> "MatrixFq":
         """Basis of the right null space, one basis vector per row.

@@ -21,7 +21,10 @@ def rand_matrix(spec, rows, cols, rng):
 # rref / rank / kernel
 # ---------------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
+# A bool is an int subclass, and True and False would pass a range
+# check as 1 and 0, but they are not codes: `json.dumps` writes them
+# as true and false.
+@pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None, True, False])
 def test_constructors_reject_bad_entries(bad):
     with pytest.raises(ValueError):
         MatrixFq(F2, 1, 2, [0, bad])

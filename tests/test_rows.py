@@ -319,3 +319,87 @@ def test_matmul_on_long_rows_of_largest_codes(spec, k):
     if spec.subfield_order:
         g = MatrixFq.from_rows(spec, rows + [[conj_lane_filler(spec)] * k])
         assert list(g.gramian("hermitian").entries) == naive_gramian(g, "hermitian")
+
+
+# ---------------------------------------------------------------
+# rank, and elimination on the widest fields
+# ---------------------------------------------------------------
+
+@PROPERTY
+@given(st.data())
+def test_rank_matches_reference(data):
+    """`rank` is its own path on every core, not `rref`: on the lanes core
+    it is forward elimination without fractions."""
+    spec = data.draw(fields)
+    m = data.draw(matrices(spec, cols=data.draw(st.integers(0, 8))))
+    assert m.rank == naive_rref(m)[2]
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)])
+def test_elimination_of_empty_shapes(spec, shape):
+    z = MatrixFq.zeros(spec, *shape)
+    assert z.rank == 0
+    assert z.rref() == (z, (), 0)
+    assert z.kernel() == MatrixFq.identity(spec, shape[1])
+
+
+# The fields of the bulk-wide-q benchmark workload that FIELDS lacks:
+# the lanes core with m up to 16, the widest slots of its packed rows.
+WIDEST = [make_field(p, m) for p, m in [(2, 16), (3, 10), (5, 6), (7, 5)]]
+
+
+def assert_elimination_matches_reference(m):
+    r, pivots, rank = m.rref()
+    flat, want_pivots, want_rank = naive_rref(m)
+    assert (list(r.entries), pivots, rank) == (flat, want_pivots, want_rank)
+    assert m.rank == want_rank
+    assert [list(row) for row in m.kernel().row_list()] == naive_kernel(m)
+
+
+@pytest.mark.parametrize("spec", WIDEST, ids=repr)
+def test_elimination_on_rows_of_largest_codes(spec):
+    """q - 1 has every digit p - 1, so its products fill the lanes of a
+    slot the most."""
+    rng = random.Random(spec.q)
+    top = spec.q - 1
+    rows = [[top] * 10, [top] * 9 + [1]]
+    rows += [[top if rng.random() < 0.7 else rng.randrange(spec.q) for _ in range(10)]
+             for _ in range(5)]
+    assert_elimination_matches_reference(MatrixFq.from_rows(spec, rows))
+    assert_elimination_matches_reference(MatrixFq.from_rows(spec, rows).transpose())
+
+
+@pytest.mark.parametrize("spec", WIDEST, ids=repr)
+def test_elimination_of_a_40_by_40_matrix_with_dependent_rows(spec):
+    """36 random rows and 4 combinations of them: more pivots than the
+    lanes hold products, and rows that eliminate to zero."""
+    rng = random.Random(spec.q)
+    base = [[rng.randrange(spec.q) for _ in range(40)] for _ in range(36)]
+    rows = base[:]
+    for _ in range(4):
+        combo = [0] * 40
+        for row in rng.sample(base, 3):
+            c = rng.randrange(1, spec.q)
+            combo = [spec.add(x, spec.mul(c, y)) for x, y in zip(combo, row)]
+        rows.insert(rng.randrange(len(rows) + 1), combo)
+    m = MatrixFq.from_rows(spec, rows)
+    assert_elimination_matches_reference(m)
+    assert m.rank == 36
+
+
+@pytest.mark.parametrize("spec", WIDEST, ids=repr)
+def test_already_reduced_rows_come_back_unchanged(spec):
+    """[I | X] is in reduced row echelon form: no row operation runs, so
+    the core hands back the rows it was given."""
+    rng = random.Random(spec.q)
+    k, n = 5, 9
+    rows = [tuple([int(i == j) for j in range(k)]
+                  + [rng.choice([0, 1, spec.q - 1, rng.randrange(spec.q)]) for _ in range(n - k)])
+            for i in range(k)]
+    m = MatrixFq.from_rows(spec, rows)
+    assert m.rref() == (m, tuple(range(k)), k)
+    assert_elimination_matches_reference(m)
+    out, pivots = spec._core.rref(rows)
+    assert pivots == list(range(k))
+    assert all(a is b for a, b in zip(out, rows))

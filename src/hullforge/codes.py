@@ -6,12 +6,19 @@ The zero code is never a LinearCode; operations that can produce it
 (duals of the full space, hulls of complementary-dual codes) return
 None instead.  The hull is read off the k x k Gramian S = G G^T
 (G G^dagger, hermitian) of the generator G as {xG : xS = 0}.
+
+Every hull fact of a code is a fact of S, so a LinearCode keeps, per
+form and from first use, S itself, rank S, the hull's coefficient rows
+and `diag.diagonalize_odd`'s generator and diagonal: asking a code
+several questions forms S once.  The kept facts are matrices, ints and
+tuples, never objects that point back at the code, and they take no
+part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf import FieldSpec
 from .matfq import MatrixFq, _matrix, check_form
@@ -33,18 +40,25 @@ class BudgetExceeded(Exception):
 def resolve_budget(budget) -> int:
     if budget is None:
         return DEFAULT_BUDGET
-    if not isinstance(budget, int) or budget < 1:
+    if type(budget) is not int or budget < 1:
         raise ValueError(f"bad enumeration budget {budget!r}")
     return budget
 
 
 @dataclass(frozen=True)
 class LinearCode:
-    """An [n, k] code over spec, generated by the rows of gen (canonical rref)."""
+    """An [n, k] code over spec, generated by the rows of gen (canonical rref).
+
+    _facts holds what the module functions read off the Gramian of gen,
+    keyed by (name, form) and filled on first use; it is invisible to
+    ==, hash and repr, so a code that has answered questions equals a
+    fresh one.
+    """
     spec: FieldSpec
     n: int
     k: int
     gen: MatrixFq
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}]_{self.spec.q})"
@@ -98,15 +112,40 @@ def _parity_rows(c: LinearCode, form: str) -> MatrixFq:
     return g.kernel()
 
 
-def _hull_rows(s: MatrixFq) -> MatrixFq:
-    """The hull's coefficient rows over G, in rref: the x with xS = 0."""
-    return s.transpose().kernel().rref()[0]
+def _fact(c: LinearCode, name: str, form: str, compute):
+    """The fact `name` of c under form: compute() on first use, then
+    the stored value."""
+    key = (name, form)
+    facts = c._facts
+    if key not in facts:
+        facts[key] = compute()
+    return facts[key]
+
+
+def _gramian(c: LinearCode, form: str) -> MatrixFq:
+    """S = G G^T (G G^dagger, hermitian), formed once per code and form."""
+    return _fact(c, "gramian", form, lambda: c.gen.gramian(form))
+
+
+def _gramian_rank(c: LinearCode, form: str) -> int:
+    """rank S, which is k minus the hull dimension."""
+    return _fact(c, "rank", form, lambda: _gramian(c, form).rank)
+
+
+def _hull_rows(c: LinearCode, form: str) -> MatrixFq:
+    """The hull's coefficient rows over G, in rref: the x with xS = 0.
+    Their number is the hull dimension, so rank S is stored with them."""
+    def compute():
+        x = _gramian(c, form).transpose().kernel().rref()[0]
+        c._facts.setdefault(("rank", form), c.k - x.rows)
+        return x
+    return _fact(c, "hull_rows", form, compute)
 
 
 def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
     """The hull C intersect dual(C), read off the Gramian S: {xG : xS = 0}."""
     check_form(c.spec, form)
-    x = _hull_rows(c.gen.gramian(form))
+    x = _hull_rows(c, form)
     ell = x.rows
     # G is in rref, so X @ G is too: the hull's canonical generator.
     hull_code = LinearCode(c.spec, c.n, ell, x @ c.gen) if ell else None
@@ -121,7 +160,9 @@ def _dual_gramian_rank(c: LinearCode, form: str) -> int:
 
     The rank does not depend on the basis: another generator is EH with
     E invertible, and (EH)(EH)^dagger = E (H H^dagger) E^dagger.  So H is
-    the kernel basis, with no elimination to the canonical dual.
+    the kernel basis, with no elimination to the canonical dual.  It is
+    formed afresh on every call, never stored: `hull` checks it against
+    the stored rank of S.
     """
     return _parity_rows(c, form).gramian(form).rank
 
@@ -129,17 +170,17 @@ def _dual_gramian_rank(c: LinearCode, form: str) -> int:
 def hull_dimension_via_gramian(c: LinearCode, form: str = "euclidean") -> int:
     """k - rank(G G^T), which equals the hull dimension."""
     check_form(c.spec, form)
-    return c.k - c.gen.gramian(form).rank
+    return c.k - _gramian_rank(c, form)
 
 
 def is_self_orthogonal(c: LinearCode, form: str = "euclidean") -> bool:
     """Whether C is contained in its dual, i.e. the Gramian is zero."""
-    return c.gen.gramian(form).is_zero()
+    return _gramian(c, form).is_zero()
 
 
 def is_lcd(c: LinearCode, form: str = "euclidean") -> bool:
     """Whether C meets its dual trivially, i.e. the Gramian is non-singular."""
-    return c.gen.gramian(form).rank == c.k
+    return _gramian_rank(c, form) == c.k
 
 
 def is_hull_maximal_so_in(c: LinearCode, form: str = "euclidean") -> bool:
@@ -162,8 +203,7 @@ def is_hull_maximal_so_in(c: LinearCode, form: str = "euclidean") -> bool:
     chapter 6.
     """
     check_form(c.spec, form)
-    s = c.gen.gramian(form)
-    return _is_maximal(s, s.rank, form)
+    return _is_maximal(_gramian(c, form), _gramian_rank(c, form), form)
 
 
 def _is_maximal(s: MatrixFq, r: int, form: str) -> bool:

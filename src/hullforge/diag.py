@@ -16,9 +16,12 @@ is diagonal with all nonzero entries first:
 
 The first two routes, and `find_anisotropic`, share one engine that
 never touches a row of length n: it works on coefficient rows e over
-G, each carried with eS, S the Gramian of G computed once per call, so
-that <eG, fG> = <eS, f>; it forms E @ G once at the end.  The hull,
-{xG : xS = 0}, and its maximality are read off the same S.
+G, each carried with eS, S the Gramian of G computed once per code and
+form, so that <eG, fG> = <eS, f>; it forms E @ G once at the end.  The
+hull, {xG : xS = 0}, and its maximality are read off the same S, and
+the code keeps the generator and diagonal of `diagonalize_odd`, so
+`find_anisotropic`, `orthogonal_basis_lcd` and the EAQECC extensions
+reuse one run of it (see `codes`).
 
 Dual-side variants are obtained by applying the same operations to the
 dual code rather than through separate code paths.
@@ -28,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .codes import LinearCode, _fact, _gramian, _hull_rows, _is_maximal
 # hull has no use here, but bench/test_bench.py reads it as diag.hull.
-from .codes import LinearCode, _hull_rows, _is_maximal, hull  # noqa: F401
+from .codes import hull  # noqa: F401
 from .matfq import MatrixFq, _inner, _stack, check_form, dot, pair_reduce_diagonal
 
 
@@ -60,12 +64,12 @@ class DiagonalizationResult:
     method: str
 
 
-def _congruence(c: LinearCode, form: str, gram: MatrixFq, indices, pairs: bool):
+def _congruence(c: LinearCode, form: str, indices, pairs: bool):
     """The engine of `diagonalize_odd` and `diagonalize_maximal_hull`.
 
     Works on the coefficient rows of the generator rows with the given
     indices: a row e stands for the codeword eG and is carried with its
-    image eS, S = gram the Gramian of G under the form, so <eG, fG> is the
+    image eS, S the Gramian of G under the form, so <eG, fG> is the
     inner product of eS and f.  Each step takes as pivot v the first row
     of nonzero self-product or, failing that and when pairs is true, the
     first pair i < j of nonzero cross product t, combined as r_i + r_j
@@ -82,6 +86,7 @@ def _congruence(c: LinearCode, form: str, gram: MatrixFq, indices, pairs: bool):
     core = spec._core
     inner = _inner(spec, form)
     axpy, neg, mul, inv, pack = core.axpy, core.neg, core.mul, core.inv, core.pack
+    gram = _gramian(c, form)
     rows = [(pack([int(t == i) for t in range(c.k)]), pack(gram.row(i)))
             for i in indices]
     pivots = []
@@ -114,13 +119,12 @@ def _congruence(c: LinearCode, form: str, gram: MatrixFq, indices, pairs: bool):
     return pivots + [e for e, _ in rows], diagonal
 
 
-def _result(c: LinearCode, coefficients, diagonal, method):
-    """The result whose new generator is E @ G, E the coefficient rows;
-    rows past the diagonal given have self-product zero."""
+def _diagonal_generator(c: LinearCode, coefficients, diagonal):
+    """(E @ G, the diagonal, its nonzero count) for E the coefficient
+    rows; rows past the diagonal given have self-product zero."""
     new_gen = _stack(c.spec, coefficients, c.k) @ c.gen
     zeros = (0,) * (c.k - len(diagonal))
-    return DiagonalizationResult(c, new_gen, tuple(diagonal) + zeros,
-                                 len(diagonal), method)
+    return new_gen, tuple(diagonal) + zeros, len(diagonal)
 
 
 def find_anisotropic(c: LinearCode, form: str = "euclidean"):
@@ -149,8 +153,12 @@ def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationRe
     if c.spec.p == 2:
         raise ValueError("this construction needs odd characteristic; "
                          "2 = 0 would break it")
-    rows, diagonal = _congruence(c, form, c.gen.gramian(form), range(c.k), True)
-    return _result(c, rows, diagonal, "odd-induction")
+
+    def compute():
+        rows, diagonal = _congruence(c, form, range(c.k), True)
+        return _diagonal_generator(c, rows, diagonal)
+    # The result itself is not kept: its `code` field would make a cycle.
+    return DiagonalizationResult(c, *_fact(c, "odd", form, compute), "odd-induction")
 
 
 def orthogonal_basis_lcd(c: LinearCode, form: str = "euclidean"):
@@ -176,8 +184,8 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean") -> Diagonal
     them.  This is the route available in characteristic 2.
     """
     check_form(c.spec, form)
-    gram = c.gen.gramian(form)
-    hull_rows = _hull_rows(gram).row_list()
+    gram = _gramian(c, form)
+    hull_rows = _hull_rows(c, form).row_list()
     ell = len(hull_rows)
     if not _is_maximal(gram, c.k - ell, form):
         raise HullNotMaximalError(
@@ -188,11 +196,12 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean") -> Diagonal
     units = [[int(t == i) for t in range(c.k)] for i in range(c.k)]
     _, independent, _ = _stack(c.spec, hull_rows + units, c.k).transpose().rref()
     complement = [i - ell for i in independent[ell:]]
-    rows, diagonal = _congruence(c, form, gram, complement, False)
+    rows, diagonal = _congruence(c, form, complement, False)
     if len(diagonal) < len(rows):
         raise RuntimeError("complement vector became isotropic despite "
                            "a maximal hull; this should be impossible")
-    return _result(c, rows + hull_rows, diagonal, "maximal-hull-gs")
+    return DiagonalizationResult(c, *_diagonal_generator(c, rows + hull_rows, diagonal),
+                                 "maximal-hull-gs")
 
 
 def pair_diagonal_generators(c: LinearCode, form: str = "euclidean"):
@@ -205,8 +214,7 @@ def pair_diagonal_generators(c: LinearCode, form: str = "euclidean"):
     """
     spec = c.spec
     check_form(spec, form)
-    s = c.gen.gramian(form)
-    p, q, d = pair_reduce_diagonal(s)
+    p, q, d = pair_reduce_diagonal(_gramian(c, form))
     g1 = p @ c.gen
     right = q if form == "euclidean" else q.conjugate()
     g2 = right @ c.gen

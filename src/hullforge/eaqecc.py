@@ -19,6 +19,11 @@ N(alpha_i) != -d_i, so those entries stay nonzero.  The extended code keeps dime
 dimension ell, its distance d' satisfies d <= d' <= d + r, and the
 entanglement cost becomes n - k - ell + r.
 
+The base records read rank S, and the extension `diagonalize_odd`'s
+generator and diagonal, from the facts the code keeps (see `codes`), so
+after `hull` and `diagonalize_odd` neither forms S again.  The checks on
+an extended code run on its own Gramian and parity rows.
+
 All rate arithmetic is exact rational; no floats appear anywhere.
 """
 

@@ -919,12 +919,13 @@ class FieldSpec:
     __slots__ = ("p", "m", "q", "modulus", "subfield_order", "_core")
 
     def __init__(self, p: int, m: int):
-        if not isinstance(m, int) or m < 1:
+        # type, not isinstance: a bool is an int, and True would pass as 1.
+        if type(m) is not int or m < 1:
             raise ValueError(f"extension degree m={m} must be >= 1")
         # Before the trial division and the power, slow for a huge p or m.
-        if isinstance(p, int) and (p > ORDER_LIMIT or m >= ORDER_LIMIT.bit_length()):
+        if type(p) is int and (p > ORDER_LIMIT or m >= ORDER_LIMIT.bit_length()):
             raise ValueError(f"field order {p}^{m} exceeds the cap {ORDER_LIMIT}")
-        if not isinstance(p, int) or not is_prime(p):
+        if type(p) is not int or not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         q = p ** m
         if q > ORDER_LIMIT:
@@ -1040,9 +1041,12 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m}, q={self.q})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_field(p: int, m: int) -> FieldSpec:
-    """Construct (and cache) GF(p^m) with its deterministic modulus."""
+    """Construct (and cache) GF(p^m) with its deterministic modulus.
+
+    typed: True and 1 are separate keys, so a bool argument reaches
+    FieldSpec and is refused even after GF(2) is cached."""
     return FieldSpec(p, m)
 
 

@@ -201,8 +201,11 @@ def exhaustive_even_char():
             for c in all_codes(spec, n):
                 seen += 1
                 for form in forms:
-                    rep = hull(c, form)
+                    # Maximality first: it ranks S itself, where after
+                    # `hull` it would read back the rank k - ell stored
+                    # with the hull rows.
                     maximal = is_hull_maximal_so_in(c, form)
+                    rep = hull(c, form)
                     cases.append((c, form, rep.ell, maximal))
             expected = sum(gaussian_binomial(n, k, q) for k in range(1, n + 1))
             assert seen == expected

@@ -7,10 +7,11 @@ from test_diag import shaped_code
 from test_rows import FIELDS
 
 from hullforge import oracle
-from hullforge.codes import (BudgetExceeded, _iter_codewords, dual, hull,
+from hullforge.codes import (DEFAULT_BUDGET, BudgetExceeded, LinearCode,
+                             _iter_codewords, dual, hull,
                              hull_dimension_via_gramian, is_hull_maximal_so_in,
                              is_lcd, is_self_orthogonal, make_code,
-                             min_distance, random_code)
+                             min_distance, random_code, resolve_budget)
 from hullforge.gf import make_field
 from hullforge.matfq import MatrixFq, vstack
 
@@ -132,15 +133,21 @@ def test_hull_invariants_random(spec, form):
         rep = hull(c, form)
         assert rep.consistent
         assert 0 <= rep.ell <= min(c.k, c.n - c.k)
-        assert hull_dimension_via_gramian(c, form) == rep.ell
+        # `hull` keeps rank S on c; a fresh copy ranks S on its own.
+        assert hull_dimension_via_gramian(fresh(c), form) == rep.ell
         d = dual(c, form)
         assert hull(d, form).ell == rep.ell
-        assert is_self_orthogonal(c, form) == (rep.hull == c)
-        assert is_lcd(c, form) == (rep.ell == 0)
+        assert is_self_orthogonal(fresh(c), form) == (rep.hull == c)
+        assert is_lcd(fresh(c), form) == (rep.ell == 0)
         if rep.hull is not None:
             # hull is inside both the code and its dual
             assert row_space_contains(c, rep.hull)
             assert row_space_contains(d, rep.hull)
+
+
+def fresh(c):
+    """An equal code that has not answered any question yet."""
+    return LinearCode(c.spec, c.n, c.k, c.gen)
 
 
 def row_space_contains(outer, inner):
@@ -262,6 +269,15 @@ def test_walk_without_tables_against_oracle(spec):
 def test_min_distance_budget():
     with pytest.raises(BudgetExceeded):
         min_distance(code(F2, [[1, 0], [0, 1]]), budget=3)
+
+
+@pytest.mark.parametrize("budget", [True, False, 0, -1, 2.0, "10"])
+def test_bad_budget_is_refused(budget):
+    with pytest.raises(ValueError, match="bad enumeration budget"):
+        resolve_budget(budget)
+    with pytest.raises(ValueError, match="bad enumeration budget"):
+        min_distance(code(F2, [[1, 1]]), budget=budget)
+    assert resolve_budget(None) == DEFAULT_BUDGET and resolve_budget(1) == 1
 
 
 def test_random_code_deterministic():

@@ -1,14 +1,26 @@
+import gc
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import rebuild_parity
+from test_codes import fresh
 from test_diag import SHAPES, shaped_code
+from test_rows import FIELDS
 
-from hullforge.codes import (BudgetExceeded, hull, make_code, min_distance,
-                             random_code)
+from hullforge import diag
+from hullforge.codes import (BudgetExceeded, hull,
+                             hull_dimension_via_gramian, is_hull_maximal_so_in,
+                             is_lcd, is_self_orthogonal, make_code,
+                             min_distance, random_code)
+from hullforge.diag import (HullNotMaximalError, NotLcdError,
+                            diagonalize_maximal_hull, diagonalize_odd,
+                            find_anisotropic, orthogonal_basis_lcd,
+                            pair_diagonal_generators)
 from hullforge.eaqecc import (EaqeccRecord, ExtensionVerificationError,
                               base_params, extend_euclidean, extend_hermitian,
                               rate_report)
@@ -320,3 +332,104 @@ def test_rate_report_rejects_mismatch():
         rate_report(rec, 8, 4, 3, 0)
     with pytest.raises(ValueError):
         rate_report(rec, 7, 4, 4, 0)        # ell > min(k, n - k)
+
+
+# ---------------------------------------------------------------
+# the Gramian facts a code keeps
+# ---------------------------------------------------------------
+
+def extension(form):
+    return extend_euclidean if form == "euclidean" else extend_hermitian
+
+
+@pytest.mark.parametrize("spec,forms", [(F5, ("euclidean",)),
+                                        (make_field(7, 2), ("euclidean", "hermitian")),
+                                        (make_field(17, 2), ("hermitian", "euclidean"))])
+def test_each_gramian_fact_is_computed_once_per_form(monkeypatch, spec, forms):
+    """The calls of one bulk code form the generator's Gramian once and
+    run the odd diagonalization once per form, however many read them.
+    Distances are refused (budget 1): they read no Gramian."""
+    c = random_code(spec, 8, 4, 1)
+    gramians, congruences = Counter(), Counter()
+    gramian, congruence = MatrixFq.gramian, diag._congruence
+
+    def counting_gramian(self, form="euclidean"):
+        gramians[form] += self is c.gen
+        return gramian(self, form)
+
+    def counting_congruence(code, form, *args):
+        congruences[form] += code is c
+        return congruence(code, form, *args)
+
+    monkeypatch.setattr(MatrixFq, "gramian", counting_gramian)
+    monkeypatch.setattr(diag, "_congruence", counting_congruence)
+    for form in forms:
+        ell = hull(c, form).ell
+        diagonalize_odd(c, form)
+        pair_diagonal_generators(c, form)
+        base_params(c, form, budget=1)
+        extension(form)(c, min(1, c.k - ell), budget=1)
+    assert gramians == dict.fromkeys(forms, 1)
+    assert congruences == dict.fromkeys(forms, 1)
+
+
+def ask_everything(c, form, order=1):
+    """Every public hull, diag, pair and base answer about c under form,
+    asked in the given order (1 or -1); refusals are answers too."""
+    calls = [hull, hull_dimension_via_gramian, is_self_orthogonal, is_lcd,
+             is_hull_maximal_so_in, diagonalize_maximal_hull,
+             pair_diagonal_generators,
+             lambda c, form: base_params(c, form, budget=200)]
+    if c.spec.p != 2:
+        calls += [diagonalize_odd, find_anisotropic, orthogonal_basis_lcd]
+    answers = {}
+    for i, fn in list(enumerate(calls))[::order]:
+        try:
+            answers[i] = fn(c, form)
+        except (HullNotMaximalError, NotLcdError) as exc:
+            answers[i] = type(exc).__name__, str(exc)
+    return answers
+
+
+SQUARE_FIELDS = [spec for spec in FIELDS if spec.subfield_order]
+FORMS = ("euclidean", "hermitian")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SQUARE_FIELDS), st.sampled_from(FORMS),
+       st.sampled_from(SHAPES), st.integers(0, 2 ** 32))
+def test_answers_do_not_depend_on_the_order_of_calls_or_forms(spec, shape_form, shape,
+                                                              seed):
+    """A fact stored under the wrong form, or read before it is right,
+    would make a used code answer differently from a fresh one."""
+    c = shaped_code(spec, shape_form, shape, random.Random(seed))
+    by_fresh_code = {form: ask_everything(fresh(c), form) for form in FORMS}
+    other_form_first, reverse_order = fresh(c), fresh(c)
+    for form in FORMS:
+        ask_everything(other_form_first, FORMS[form == "euclidean"])
+        assert ask_everything(other_form_first, form) == by_fresh_code[form]
+    for form in FORMS[::-1]:
+        assert ask_everything(reverse_order, form, order=-1) == by_fresh_code[form]
+    for used in (other_form_first, reverse_order):
+        assert used == c and hash(used) == hash(c) and repr(used) == repr(c)
+        assert used._facts and not fresh(c)._facts
+
+
+@pytest.mark.parametrize("spec", [F5, make_field(7, 2), make_field(17, 2)])
+def test_a_used_code_is_freed_with_its_last_reference(spec):
+    """The facts point nowhere back at the code, so reference counting
+    alone frees it after a full pipeline."""
+    c = random_code(spec, 8, 4, 2)
+    ref = weakref.ref(c)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for form in FORMS if spec.subfield_order else FORMS[:1]:
+            ask_everything(c, form)
+            extension(form)(c, min(1, c.k - hull(c, form).ell), budget=1)
+        assert len(c._facts) >= 4
+        del c
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -63,6 +63,23 @@ def test_construction_errors():
             make_field(p, m)
 
 
+@pytest.mark.parametrize("p,m,message", [(2, True, "extension degree"),
+                                         (3, False, "extension degree"),
+                                         (True, 1, "not prime"),
+                                         (2, 1.0, "extension degree"),
+                                         (2.0, 1, "not prime")])
+def test_construction_rejects_non_int_arguments(p, m, message):
+    """A bool is an int to isinstance; it is refused all the same, also
+    when GF(2) is already cached, and nothing is cached for it."""
+    make_field(2, 1)
+    with pytest.raises(ValueError, match=message):
+        make_field(p, m)
+    with pytest.raises(ValueError, match=message):
+        FieldSpec(p, m)
+    gf2 = make_field(2, 1)
+    assert type(gf2.m) is int and gf2.m == 1 and type(gf2.p) is int
+
+
 def test_modulus_str():
     assert modulus_str(make_field(2, 2)) == "x^2 + x + 1"
     assert modulus_str(make_field(2, 1)) == "x"

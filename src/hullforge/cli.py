@@ -3,6 +3,12 @@ operation, and a verify mode that replays the brute-force cross-checks.
 
 Exit codes: 0 success, 1 domain refusal (e.g. asking a non-LCD code for
 an orthogonal basis), 2 input error, 3 internal verification failure.
+
+Each result type has its own `*_json` encoder; one `from_json(cls, spec,
+obj)` decodes all of them, field by field of the dataclass.  `diag` and
+`verify` choose the diagonalization route in one place, and `verify`
+checks both the diagonal-Gramian generator and the diagonal
+cross-Gramian pair with one certificate.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -131,10 +138,6 @@ def code_json(c: LinearCode) -> dict:
     return {"n": c.n, "k": c.k, "gen": matrix_json(c.gen)}
 
 
-def parse_code_json(spec: FieldSpec, obj: dict) -> LinearCode:
-    return make_code(spec, MatrixFq.from_rows(spec, obj["gen"], cols=obj["n"]))
-
-
 def fraction_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
@@ -148,26 +151,12 @@ def hull_report_json(rep: HullReport) -> dict:
             "consistent": rep.consistent}
 
 
-def parse_hull_report(spec: FieldSpec, obj: dict) -> HullReport:
-    hull_code = None if obj["hull"] is None else parse_code_json(spec, obj["hull"])
-    return HullReport(obj["form"], hull_code, obj["ell"],
-                      obj["gramian_rank_g"], obj["gramian_rank_h"],
-                      obj["consistent"])
-
-
 def diag_result_json(res: DiagonalizationResult) -> dict:
     return {"method": res.method,
             "code": code_json(res.code),
             "new_gen": matrix_json(res.new_gen),
             "diagonal": list(res.diagonal),
             "nonzero_count": res.nonzero_count}
-
-
-def parse_diag_result(spec: FieldSpec, obj: dict) -> DiagonalizationResult:
-    code = parse_code_json(spec, obj["code"])
-    new_gen = MatrixFq.from_rows(spec, obj["new_gen"], cols=code.n)
-    return DiagonalizationResult(code, new_gen, tuple(obj["diagonal"]),
-                                 obj["nonzero_count"], obj["method"])
 
 
 def record_json(rec: EaqeccRecord) -> dict:
@@ -180,15 +169,6 @@ def record_json(rec: EaqeccRecord) -> dict:
             "provenance": rec.provenance, "r": rec.r}
 
 
-def parse_record(obj: dict) -> EaqeccRecord:
-    return EaqeccRecord(
-        n=obj["n"], k_logical=obj["k_logical"], d_exact=obj["d_exact"],
-        d_bounds=tuple(obj["d_bounds"]), c=obj["c"], q=obj["q"],
-        rate=Fraction(obj["rate"]["num"], obj["rate"]["den"]),
-        net_rate=Fraction(obj["net_rate"]["num"], obj["net_rate"]["den"]),
-        provenance=obj["provenance"], r=obj["r"])
-
-
 def certificate_json(cert: ExtensionCertificate) -> dict:
     return {"original": code_json(cert.original),
             "extended": code_json(cert.extended),
@@ -198,14 +178,38 @@ def certificate_json(cert: ExtensionCertificate) -> dict:
             "d_prime": cert.d_prime}
 
 
-def parse_certificate(spec: FieldSpec, obj: dict) -> ExtensionCertificate:
-    return ExtensionCertificate(
-        original=parse_code_json(spec, obj["original"]),
-        extended=parse_code_json(spec, obj["extended"]),
-        alphas=tuple(obj["alphas"]),
-        x_rows=tuple(tuple(x) for x in obj["x_rows"]),
-        hull_preserved=obj["hull_preserved"],
-        d_prime=obj["d_prime"])
+def _code_from_json(spec: FieldSpec, obj: dict | None) -> LinearCode | None:
+    return None if obj is None else make_code(
+        spec, MatrixFq.from_rows(spec, obj["gen"], cols=obj["n"]))
+
+
+def _fraction_from_json(spec: FieldSpec, obj: dict) -> Fraction:
+    return Fraction(obj["num"], obj["den"])
+
+
+def _plain(spec: FieldSpec, value):
+    """A JSON value as it is, but with lists as nested tuples."""
+    return tuple(_plain(spec, v) for v in value) if isinstance(value, list) else value
+
+
+# The decoder of each field, by name, whose value is not plain.
+_DECODERS = {"code": _code_from_json, "hull": _code_from_json,
+             "original": _code_from_json, "extended": _code_from_json,
+             "new_gen": MatrixFq.from_rows,
+             "rate": _fraction_from_json, "net_rate": _fraction_from_json}
+
+
+def from_json(cls, spec: FieldSpec | None, obj: dict):
+    """The HullReport, DiagonalizationResult, EaqeccRecord or
+    ExtensionCertificate that the matching `*_json` encoder wrote as obj.
+
+    Each field is read by its name: codes (a missing hull is None), the
+    new generator and the rates by their decoders, anything else by
+    `_plain`.  spec is the field of the codes and matrices; an
+    EaqeccRecord needs none.
+    """
+    return cls(**{f.name: _DECODERS.get(f.name, _plain)(spec, obj[f.name])
+                  for f in fields(cls)})
 
 
 def envelope(command: str, spec: FieldSpec | None, digest: str | None,
@@ -294,6 +298,14 @@ def cmd_hull(args):
     return _emit(args, code.spec, digest, hull_report_json(rep), lines)
 
 
+def _diagonalize(code: LinearCode, form: str) -> DiagonalizationResult:
+    """The diagonal-Gramian route of the code's field: `diagonalize_odd`
+    in odd characteristic, `diagonalize_maximal_hull` in characteristic 2."""
+    if code.spec.p != 2:
+        return diagonalize_odd(code, form)
+    return diagonalize_maximal_hull(code, form)
+
+
 def cmd_diag(args):
     code, digest = _load(args)
     spec = code.spec
@@ -310,10 +322,7 @@ def cmd_diag(args):
                  f"cross-gramian diagonal: {' '.join(map(str, diagonal))}",
                  f"nonzero entries: {nonzero}"]
         return _emit(args, spec, digest, payload, lines)
-    if spec.p != 2:
-        res = diagonalize_odd(code, args.form)
-    else:
-        res = diagonalize_maximal_hull(code, args.form)
+    res = _diagonalize(code, args.form)
     lines = [f"method: {res.method}",
              f"gramian diagonal: {' '.join(map(str, res.diagonal))}",
              f"nonzero entries: {res.nonzero_count}",
@@ -413,39 +422,38 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
     rng = random.Random(seed)
     e1 = random_invertible(spec, code.k, rng)
     e2 = random_invertible(spec, code.k, rng)
-    g1 = e1 @ code.gen
-    g2 = e2 @ code.gen
-    cross = g1 @ (g2.transpose() if form == "euclidean" else g2.conj_transpose())
+    cross = _cross_gramian(e1 @ code.gen, e2 @ code.gen, form)
     checks.append(("generator-independence", cross.rank == code.k - rep.ell))
 
-    p1, p2, diagonal = pair_diagonal_generators(code, form)
-    cross = p1 @ (p2.transpose() if form == "euclidean" else p2.conj_transpose())
-    ok = (all(cross[i, j] == (diagonal[i] if i == j else 0)
-              for i in range(code.k) for j in range(code.k))
-          and sum(1 for x in diagonal if x) == code.k - rep.ell
-          and all(diagonal[i] for i in range(code.k - rep.ell))
-          and row_space_equal(p1, code.gen)
-          and row_space_equal(p2, code.gen))
-    checks.append(("pair-diagonal", ok))
-
-    res = None
-    if spec.p != 2:
-        res = diagonalize_odd(code, form)
+    checks.append(("pair-diagonal", _diagonal_certificate(
+        code, form, *pair_diagonal_generators(code, form), rep.ell)))
+    try:
+        res = _diagonalize(code, form)
+    except HullNotMaximalError:
+        checks.append(("diagonalization", "hull not maximal"))
     else:
-        try:
-            res = diagonalize_maximal_hull(code, form)
-        except HullNotMaximalError:
-            checks.append(("diagonalization", "hull not maximal"))
-    if res is not None:
-        gram = res.new_gen.gramian(form)
-        ok = (all(gram[i, j] == (res.diagonal[i] if i == j else 0)
-                  for i in range(code.k) for j in range(code.k))
-              and res.nonzero_count == code.k - rep.ell
-              and all(res.diagonal[i] for i in range(res.nonzero_count))
-              and not any(res.diagonal[res.nonzero_count:])
-              and row_space_equal(res.new_gen, code.gen))
-        checks.append(("diagonalization", ok))
+        checks.append(("diagonalization",
+                       res.nonzero_count == code.k - rep.ell
+                       and _diagonal_certificate(code, form, res.new_gen, res.new_gen,
+                                                 res.diagonal, rep.ell)))
     return checks
+
+
+def _cross_gramian(g1: MatrixFq, g2: MatrixFq, form: str) -> MatrixFq:
+    """g1 g2^T, or g1 g2^dagger for the hermitian form."""
+    return g1 @ (g2.transpose() if form == "euclidean" else g2.conj_transpose())
+
+
+def _diagonal_certificate(code, form, g1, g2, diagonal, ell) -> bool:
+    """Whether g1 and g2 generate the code, g1 g2^T (g1 g2^dagger,
+    hermitian) is diag(diagonal), and exactly the first k - ell entries
+    of diagonal are nonzero: the certificate of `diag --pair` and, with
+    g1 = g2, of `diag`."""
+    k = code.k
+    return ([bool(x) for x in diagonal] == [i < k - ell for i in range(k)]
+            and _cross_gramian(g1, g2, form).entries
+            == tuple(diagonal[i] if i == j else 0 for i in range(k) for j in range(k))
+            and row_space_equal(g1, code.gen) and row_space_equal(g2, code.gen))
 
 
 def cmd_verify(args):

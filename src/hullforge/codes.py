@@ -10,9 +10,15 @@ None instead.  The hull is read off the k x k Gramian S = G G^T
 Every hull fact of a code is a fact of S, so a LinearCode keeps, per
 form and from first use, S itself, rank S, the hull's coefficient rows
 and `diag.diagonalize_odd`'s generator and diagonal: asking a code
-several questions forms S once.  The kept facts are matrices, ints and
-tuples, never objects that point back at the code, and they take no
-part in equality, hashing or repr.
+several questions forms S once.  rank S comes from `S.rank` when it is
+asked for before the hull; once `hull` has found the hull's rows, it
+is read off them as k - ell and S is not ranked again.  (The acceptance
+test of the Gramian rank law, `test_criterion_01_gramian_rank_law`,
+ranks S on its own.)  A code also keeps its exact minimum distance,
+under no form, from the first `min_distance` call that the budget
+admits; the budget is checked on every call.  The kept facts are
+matrices, ints and tuples, never objects that point back at the code,
+and they take no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ class LinearCode:
     """An [n, k] code over spec, generated by the rows of gen (canonical rref).
 
     _facts holds what the module functions read off the Gramian of gen,
-    keyed by (name, form) and filled on first use; it is invisible to
+    and the minimum distance, keyed by (name, form) and filled on first
+    use (the distance under form None); it is invisible to
     ==, hash and repr, so a code that has answered questions equals a
     fresh one.
     """
@@ -220,11 +227,19 @@ def _is_maximal(s: MatrixFq, r: int, form: str) -> bool:
 
 
 def min_distance(c: LinearCode, budget=None) -> int:
-    """Exact minimum Hamming weight by full message-space enumeration."""
+    """Exact minimum Hamming weight by full message-space enumeration.
+
+    The refusal is decided on every call, against this call's budget;
+    the walk runs once per code, and later calls read its answer."""
     cap = resolve_budget(budget)
     total = c.spec.q ** c.k
     if total > cap:
         raise BudgetExceeded(total, cap, "minimum distance")
+    return _fact(c, "distance", None, lambda: _min_weight(c))
+
+
+def _min_weight(c: LinearCode) -> int:
+    """The least weight of a nonzero codeword, over one codeword walk."""
     stream = _iter_codewords(c.spec, c.gen.row_list())
     next(stream)                       # zero word
     best = c.n
@@ -244,20 +259,21 @@ def random_code(spec: FieldSpec, n: int, k: int, seed: int) -> LinearCode:
     """A deterministic pseudo-random [n, k] code; resamples until full rank."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = random.Random(seed)
-    q = spec.q
-    while True:
-        m = _matrix(spec, k, n, tuple(rng.randrange(q) for _ in range(k * n)))
-        if m.rank == k:
-            return make_code(spec, m)
+    return make_code(spec, _full_rank(spec, k, n, random.Random(seed)))
 
 
 def random_invertible(spec: FieldSpec, n: int, rng: random.Random) -> MatrixFq:
     """A random invertible n x n matrix, resampled until non-singular."""
+    return _full_rank(spec, n, n, rng)
+
+
+def _full_rank(spec: FieldSpec, rows: int, cols: int, rng: random.Random) -> MatrixFq:
+    """A rows x cols matrix of rank rows: entries drawn by rng.randrange(q)
+    row-major, the whole matrix drawn again until its rank is full."""
     q = spec.q
     while True:
-        m = _matrix(spec, n, n, tuple(rng.randrange(q) for _ in range(n * n)))
-        if m.rank == n:
+        m = _matrix(spec, rows, cols, tuple(rng.randrange(q) for _ in range(rows * cols)))
+        if m.rank == rows:
             return m
 
 

@@ -108,9 +108,10 @@ Python-level call per entry:
   between entries, and one more translate reduces each digit mod p;
 * other odd fields (GF(27), GF(81), GF(121), primes above 127, ...) add
   through the rows of ``add_table``, one lookup per entry done in C;
-* dot products over GF(p) are ``sum(map(mul, u, v)) % p``, reduced once;
-  over GF(p^m) the products come from ``mul_table`` and are summed with
-  XOR (characteristic 2) or as wide digit fields reduced once (odd);
+* over GF(p), `dot` is the `_Prime` core's own, which takes bytes rows
+  as they are; over GF(p^m) the products come from ``mul_table`` and
+  are summed with XOR (characteristic 2) or as wide digit fields
+  reduced once (odd);
 * `matmul` builds each row of the product with one `axpy` of the
   matching row of B per nonzero entry of the row of A.
 
@@ -789,7 +790,7 @@ class _Tables(_Core):
         def mul(a, b):
             return mult[a][b]
 
-        getitem, times, xor = operator.getitem, operator.mul, operator.xor
+        getitem, xor = operator.getitem, operator.xor
         pad = bytes(256 - q)
         mt = [row + pad for row in mult]
         from_bytes = int.from_bytes
@@ -842,10 +843,7 @@ class _Tables(_Core):
         self.rref, self.rank = _stepwise_elimination(bytes, axpy, self.scale, self.neg, self.inv)
         self.conj = self.dot_conj = None
         if m == 1:
-            def dot(u, v):
-                return sum(map(times, u, v)) % p
-
-            self.dot = dot
+            self.dot = base.dot
             return
 
         if p == 2:

@@ -150,12 +150,11 @@ def _subspace_dimension(spec: FieldSpec, members, n: int) -> int:
 
 
 def min_distance_by_enumeration(c: LinearCode, budget=None) -> int:
-    """Minimum weight via a weight table over the full codeword set."""
+    """Minimum weight of the nonzero codewords, taken as they stream past,
+    so memory stays O(n) whatever q^k is."""
     _check_budget(c, budget, "distance enumeration")
-    weights = {}
-    for w in enumerate_codewords(c, budget):
-        weights[w] = sum(1 for x in w if x)
-    return min(wt for wt in weights.values() if wt > 0)
+    return min(wt for w in enumerate_codewords(c, budget)
+               if (wt := sum(1 for x in w if x)))
 
 
 def maximal_so_by_enumeration(c: LinearCode, form: str = "euclidean",

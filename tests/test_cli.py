@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 import hullforge
 from hullforge import cli
-from hullforge.codes import hull, make_code, random_code
-from hullforge.diag import (HullNotMaximalError, diagonalize_maximal_hull,
-                            diagonalize_odd)
-from hullforge.eaqecc import base_params, extend_euclidean, extend_hermitian
+from hullforge.codes import HullReport, hull, make_code, random_code
+from hullforge.diag import (DiagonalizationResult, HullNotMaximalError,
+                            diagonalize_maximal_hull, diagonalize_odd)
+from hullforge.eaqecc import (EaqeccRecord, ExtensionCertificate, base_params,
+                              extend_euclidean, extend_hermitian)
 from hullforge.gf import make_field
-from hullforge.matfq import MatrixFq
+from hullforge.matfq import MatrixFq, row_space_equal
 
 F2 = make_field(2, 1)
 F5 = make_field(5, 1)
@@ -171,7 +173,7 @@ def test_eaqecc_base_json(capsys, fixtures_dir):
                      "--json")
     assert rc == 0
     env = json.loads(out)
-    rec = cli.parse_record(env["result"]["primary"])
+    rec = cli.from_json(EaqeccRecord, None, env["result"]["primary"])
     assert (rec.n, rec.k_logical, rec.d_exact, rec.c, rec.q) == (7, 1, 3, 0, 2)
     assert env["result"]["hull_dimension"] == 3
     assert env["tool_version"]
@@ -213,6 +215,52 @@ def test_verify_names_why_it_skipped(capsys, fixtures_dir, tmp_path):
     assert rc == 0
     assert "skipped  diagonalization (hull not maximal)" in out.splitlines()
     assert out.splitlines()[-1] == "verdict: no check failed, 1 of 8 skipped"
+
+
+def permuted_columns(m, perm):
+    return MatrixFq.from_rows(m.spec, [[row[j] for j in perm] for row in m.row_list()])
+
+
+@pytest.mark.parametrize("fault", ["diagonal", "other code"])
+@pytest.mark.parametrize("route,name", [("pair_diagonal_generators", "pair-diagonal"),
+                                        ("diagonalize_odd", "diagonalization")])
+def test_verify_fails_a_broken_certificate(capsys, monkeypatch, fixtures_dir,
+                                           fault, route, name):
+    """A route that returns a wrong diagonal, or generators of another code
+    with the same Gramian (the columns shifted cyclically), fails its
+    check, and verify exits 3."""
+    path = str(fixtures_dir / "ext635.code")
+    shift = [1, 2, 3, 4, 5, 0]
+    c = cli.parse_code_file(Path(path).read_text())
+    assert not row_space_equal(permuted_columns(c.gen, shift), c.gen)
+
+    def corrupt(gens, diagonal):
+        if fault == "diagonal":
+            return gens, (F5.mul(2, diagonal[0]),) + diagonal[1:]
+        return [permuted_columns(g, shift) for g in gens], diagonal
+
+    real = getattr(cli, route)
+    if route == "pair_diagonal_generators":
+        def broken(code, form):
+            g1, g2, diagonal = real(code, form)
+            (g1, g2), diagonal = corrupt([g1, g2], diagonal)
+            return g1, g2, diagonal
+    else:
+        def broken(code, form):
+            res = real(code, form)
+            (g,), diagonal = corrupt([res.new_gen], res.diagonal)
+            return dataclasses.replace(res, new_gen=g, diagonal=diagonal)
+    monkeypatch.setattr(cli, route, broken)
+
+    rc, out, _ = run(capsys, "verify", path)
+    lines = out.splitlines()
+    assert rc == 3
+    assert [line for line in lines if "FAIL" in line] == [f"   FAIL  {name}",
+                                                          "verdict: FAILURES above"]
+    rc, out, _ = run(capsys, "verify", path, "--json")
+    result = json.loads(out)["result"]
+    assert rc == 3 and result["passed"] is False
+    assert [c["name"] for c in result["checks"] if c["status"] == "fail"] == [name]
 
 
 def test_diag_takes_no_budget(capsys, fixtures_dir):
@@ -284,7 +332,7 @@ def test_pair_mode(capsys, fixtures_dir):
 def test_hull_report_roundtrip(case):
     c, form = case
     rep = hull(c, form)
-    assert cli.parse_hull_report(c.spec, roundtrip(cli.hull_report_json, rep)) == rep
+    assert cli.from_json(HullReport, c.spec, roundtrip(cli.hull_report_json, rep)) == rep
 
 
 @PROPERTY
@@ -298,7 +346,8 @@ def test_diag_result_roundtrip(case):
             res = diagonalize_maximal_hull(c, form)
         except HullNotMaximalError:
             return
-    assert cli.parse_diag_result(c.spec, roundtrip(cli.diag_result_json, res)) == res
+    assert cli.from_json(DiagonalizationResult, c.spec,
+                         roundtrip(cli.diag_result_json, res)) == res
 
 
 @PROPERTY
@@ -306,7 +355,7 @@ def test_diag_result_roundtrip(case):
 def test_record_roundtrip(case, budget):
     c, form = case
     for rec in base_params(c, form, budget):
-        assert cli.parse_record(roundtrip(cli.record_json, rec)) == rec
+        assert cli.from_json(EaqeccRecord, c.spec, roundtrip(cli.record_json, rec)) == rec
 
 
 @PROPERTY
@@ -319,7 +368,8 @@ def test_certificate_roundtrip(case, r, budget):
         return                           # no extension over this field
     extend = extend_hermitian if hermitian else extend_euclidean
     cert, _ = extend(c, min(r, c.k - hull(c, form).ell), budget)
-    assert cli.parse_certificate(spec, roundtrip(cli.certificate_json, cert)) == cert
+    assert cli.from_json(ExtensionCertificate, spec,
+                         roundtrip(cli.certificate_json, cert)) == cert
 
 
 def test_main_answers_alike_after_a_usage_error_and_a_refusal(capsys, fixtures_dir, tmp_path):

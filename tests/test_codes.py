@@ -266,6 +266,14 @@ def test_walk_without_tables_against_oracle(spec):
     assert min_distance(c) == oracle.min_distance_by_enumeration(c)
 
 
+def test_min_distance_refuses_on_every_call_after_its_walk(hamming):
+    """The distance is kept on the code, but each call checks its own budget."""
+    assert min_distance(hamming, budget=16) == 3
+    with pytest.raises(BudgetExceeded):
+        min_distance(hamming, budget=15)
+    assert min_distance(hamming) == 3 == oracle.min_distance_by_enumeration(hamming)
+
+
 def test_min_distance_budget():
     with pytest.raises(BudgetExceeded):
         min_distance(code(F2, [[1, 0], [0, 1]]), budget=3)

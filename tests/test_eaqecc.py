@@ -12,7 +12,7 @@ from test_codes import fresh
 from test_diag import SHAPES, shaped_code
 from test_rows import FIELDS
 
-from hullforge import diag
+from hullforge import codes, diag, oracle
 from hullforge.codes import (BudgetExceeded, hull,
                              hull_dimension_via_gramian, is_hull_maximal_so_in,
                              is_lcd, is_self_orthogonal, make_code,
@@ -237,13 +237,13 @@ def check_extension_case(c, form, r, budget):
         assert a != 0 and norm != spec.neg(dot(spec, x, x, form))
 
     try:
-        d = min_distance(c, budget)
+        d = min_distance(fresh(c), budget)
     except BudgetExceeded:
         d = None
     singleton = n + r - k + 1
     assert record.d_exact == cert.d_prime
     if cert.d_prime is not None:
-        assert cert.d_prime == min_distance(cert.extended)
+        assert cert.d_prime == min_distance(fresh(cert.extended))
         if d is not None:
             assert d <= cert.d_prime <= d + r
     assert record.d_bounds == ((d, min(d + r, singleton)) if d is not None
@@ -371,6 +371,25 @@ def test_each_gramian_fact_is_computed_once_per_form(monkeypatch, spec, forms):
         extension(form)(c, min(1, c.k - ell), budget=1)
     assert gramians == dict.fromkeys(forms, 1)
     assert congruences == dict.fromkeys(forms, 1)
+
+
+def test_base_params_and_an_extension_walk_the_code_once(monkeypatch):
+    """The extension reads the distance that base_params found; the dual
+    and the extended code are other codes, with walks of their own."""
+    c = random_code(F5, 8, 4, 2)
+    rows = c.gen.row_list()
+    walks = Counter()
+    walk = codes._iter_codewords
+
+    def counting_walk(spec, step_rows):
+        walks[tuple(step_rows) == tuple(rows)] += 1
+        return walk(spec, step_rows)
+
+    monkeypatch.setattr(codes, "_iter_codewords", counting_walk)
+    primary, _ = base_params(c)
+    _, record = extend_euclidean(c, min(1, c.k - hull(c).ell))
+    assert walks[True] == 1 and walks[False] == 2
+    assert record.d_bounds[0] == primary.d_exact == oracle.min_distance_by_enumeration(c)
 
 
 def ask_everything(c, form, order=1):

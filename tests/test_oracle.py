@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hullforge import oracle
@@ -23,6 +25,20 @@ def test_enumerate_codewords_pinned():
     ham = code(F2, [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1],
                     [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]])
     assert sum(1 for _ in oracle.enumerate_codewords(ham)) == 16
+
+
+def test_min_distance_by_enumeration_keeps_no_codeword_table():
+    """The referee streams the codewords: on q^k = 63001 words a table of
+    them peaks near 8 MiB, the stream under 1 MiB."""
+    c = random_code(make_field(251, 1), 6, 2, 0)
+    tracemalloc.start()
+    try:
+        d = oracle.min_distance_by_enumeration(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert d == min_distance(c) == 5             # an MDS [6, 2] code
 
 
 def test_enumeration_budget():

@@ -407,7 +407,8 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
                        == oracle.min_distance_by_enumeration(code, budget)))
         checks.append(("maximality-agreement",
                        is_hull_maximal_so_in(code, form)
-                       == oracle.maximal_so_by_enumeration(code, form, budget)))
+                       == oracle.maximal_so_by_enumeration(code, form, budget,
+                                                           hull_set=hull_set)))
     else:
         if d is None:
             checks.append(("hull-vs-enumeration", rep.ell == 0))

@@ -7,6 +7,14 @@ The zero code is never a LinearCode; operations that can produce it
 None instead.  The hull is read off the k x k Gramian S = G G^T
 (G G^dagger, hermitian) of the generator G as {xG : xS = 0}.
 
+G is in reduced row echelon form, so G = [I | A] up to a column
+permutation, with A the k x (n - k) block on its non-pivot columns,
+and the kernel basis H of `matfq.kernel` is [-B | I] for B = A^T
+(conj(A)^T, hermitian).  Both Gramians come from this free block:
+S = I + A B, and H H^T (H H^dagger) = I + B A, which `hull` ranks
+as its independent check.  Their products run over n - k and k, not
+n, and the hull path forms no kernel of G.
+
 Every hull fact of a code is a fact of S, so a LinearCode keeps, per
 form and from first use, S itself, rank S, the hull's coefficient rows
 and `diag.diagonalize_odd`'s generator and diagonal: asking a code
@@ -27,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 
 from .gf import FieldSpec
-from .matfq import MatrixFq, _matrix, check_form
+from .matfq import MatrixFq, _matrix, _stack, check_form
 
 # Cap on q^k for any codeword enumeration; shared by the brute-force
 # reference module.
@@ -129,9 +137,34 @@ def _fact(c: LinearCode, name: str, form: str, compute):
     return facts[key]
 
 
+def _free_block(c: LinearCode, form: str):
+    """(A, B) for G = [I | A] up to a column permutation: A is the k x (n-k)
+    block of the canonical G on its non-pivot columns, and B = A^T
+    (conj(A)^T, hermitian).  Then S = I + A B, and the kernel basis
+    H = [-B | I] of `_parity_rows` has H H^T (H H^dagger) = I + B A."""
+    check_form(c.spec, form)
+    n, e = c.n, c.gen.entries
+    pivots = {next(j for j, x in enumerate(row) if x) for row in c.gen.row_list()}
+    b = _stack(c.spec, [e[j::n] for j in range(n) if j not in pivots], c.k)
+    a = b.transpose()
+    return a, b if form == "euclidean" else b.conjugate()
+
+
+def _plus_identity(s: MatrixFq) -> MatrixFq:
+    """I + s, for a square s."""
+    add, e = s.spec._core.add, list(s.entries)
+    for i in range(0, len(e), s.rows + 1):
+        e[i] = add(e[i], 1)
+    return _matrix(s.spec, s.rows, s.cols, tuple(e))
+
+
 def _gramian(c: LinearCode, form: str) -> MatrixFq:
-    """S = G G^T (G G^dagger, hermitian), formed once per code and form."""
-    return _fact(c, "gramian", form, lambda: c.gen.gramian(form))
+    """S = G G^T (G G^dagger, hermitian), formed once per code and form
+    from the free block, as I + A B."""
+    def compute():
+        a, b = _free_block(c, form)
+        return _plus_identity(a @ b)
+    return _fact(c, "gramian", form, compute)
 
 
 def _gramian_rank(c: LinearCode, form: str) -> int:
@@ -167,11 +200,19 @@ def _dual_gramian_rank(c: LinearCode, form: str) -> int:
 
     The rank does not depend on the basis: another generator is EH with
     E invertible, and (EH)(EH)^dagger = E (H H^dagger) E^dagger.  So H is
-    the kernel basis, with no elimination to the canonical dual.  It is
-    formed afresh on every call, never stored: `hull` checks it against
-    the stored rank of S.
+    the kernel basis of `_parity_rows`, with no elimination to the
+    canonical dual.  It is formed afresh on every call, never stored:
+    `hull` checks it against the stored rank of S.
     """
-    return _parity_rows(c, form).gramian(form).rank
+    return _dual_gramian(c, form).rank
+
+
+def _dual_gramian(c: LinearCode, form: str) -> MatrixFq:
+    """H H^T (H H^dagger, hermitian) for the kernel basis H = [-B | I] of
+    `_parity_rows`: I + B A off the free block, so no kernel is formed
+    and the product runs over k, not n."""
+    a, b = _free_block(c, form)
+    return _plus_identity(b @ a)
 
 
 def hull_dimension_via_gramian(c: LinearCode, form: str = "euclidean") -> int:

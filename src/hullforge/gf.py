@@ -40,9 +40,10 @@ loops of `matfq`, `diag` and the codeword walks run on:
 A row is indexed, iterated and tested like a sequence of codes.  Every
 operation is bound once, when its core is built, so a hot loop loads
 it into a local.  There are three cores.  `_Tables` and `_Prime`
-eliminate one pivot at a time on their `axpy` and `scale`, and their
-`rank` counts the pivots of that loop; `_Lanes` eliminates on packed
-rows, described below.
+eliminate one pivot at a time on their `axpy` and `scale`: `rref` by
+Gauss-Jordan elimination, and `rank` by forward elimination, which
+clears below each pivot only and normalizes no row.  `_Lanes`
+eliminates on packed rows, described below.
 
 `_Prime` serves GF(p) with p > 256: integers mod p.  Rows are lists;
 `axpy` and `scale` are list comprehensions mod p, and `dot` is
@@ -112,8 +113,16 @@ Python-level call per entry:
   as they are; over GF(p^m) the products come from ``mul_table`` and
   are summed with XOR (characteristic 2) or as wide digit fields
   reduced once (odd);
-* `matmul` builds each row of the product with one `axpy` of the
-  matching row of B per nonzero entry of the row of A.
+* `matmul` reduces once per row of the product.  In characteristic 2
+  it XORs the rows of B read as integers, each translated through
+  ``mul_table`` when its scalar is not 1.  Over GF(p), p odd, each row
+  of B is read once into lanes of whole bytes, wide enough for the sum
+  of as many products of codes as B has rows, and its quotient by p;
+  a row of A·B sums the scalar multiples of these integers, and every
+  lane is reduced mod p at once, as `_Lanes` reduces its lanes, before
+  the low byte of each lane is read off.  Over the other fields it
+  makes one `axpy` of the matching row of B per nonzero entry of the
+  row of A.
 
 `add_into` is the step of the codeword walks in `codes` and `oracle`,
 which change a few entries of one buffer per codeword: `_Tables` indexes
@@ -279,28 +288,31 @@ class _Core:
                  "rref", "rank")
 
 
-def _stepwise_elimination(pack, axpy, scale, neg, inv):
-    """`rref` and `rank` of `_Tables` and `_Prime`: Gauss-Jordan elimination
-    one pivot at a time on the core's `axpy` and `scale`, every row packed
-    first.  The rank is the pivot count of the same loop."""
+def _stepwise_elimination(pack, axpy, scale, neg, inv, mul):
+    """`rref` and `rank` of `_Tables` and `_Prime`, one pivot at a time on
+    the core's `axpy` and `scale`, every row packed first.  `rref` is
+    Gauss-Jordan elimination; `rank` counts the pivots of forward
+    elimination, which clears below each pivot only and normalizes no
+    row."""
+    def pivot_row(rows, r, c):
+        """Swap the first row from r on with a nonzero entry in column c
+        into place r; false when there is none."""
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                rows[r], rows[i] = rows[i], rows[r]
+                return True
+        return False
+
     def rref(rows):
         rows = [pack(row) for row in rows]
         nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
         pivots = []
         r = 0
-        for c in range(ncols):
+        for c in range(len(rows[0]) if rows else 0):
             if r == nrows:
                 break
-            pr = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
+            if not pivot_row(rows, r, c):
                 continue
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
             pv = rows[r][c]
             if pv != 1:
                 rows[r] = scale(inv(pv), rows[r])
@@ -314,7 +326,22 @@ def _stepwise_elimination(pack, axpy, scale, neg, inv):
         return rows, pivots
 
     def rank(rows):
-        return len(rref(rows)[1])
+        rows = [pack(row) for row in rows]
+        nrows = len(rows)
+        r = 0
+        for c in range(len(rows[0]) if rows else 0):
+            if r == nrows:
+                break
+            if not pivot_row(rows, r, c):
+                continue
+            prow = rows[r]
+            f = neg(inv(prow[c]))
+            for i in range(r + 1, nrows):
+                e = rows[i][c]
+                if e:
+                    rows[i] = axpy(rows[i], mul(e, f), prow)
+            r += 1
+        return r
 
     return rref, rank
 
@@ -365,7 +392,7 @@ class _Prime(_Core):
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, None
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, None
         self.add_into, self.matmul = _add_into(add), matmul
-        self.rref, self.rank = _stepwise_elimination(list, axpy, scale, neg, inv)
+        self.rref, self.rank = _stepwise_elimination(list, axpy, scale, neg, inv, mul)
 
 
 def _lane_shape(p, m, terms):
@@ -383,6 +410,14 @@ def _lane_shape(p, m, terms):
         return top.bit_length(), 0
     k = (top * (p - 1)).bit_length()
     return (top * -(-(1 << k) // p)).bit_length(), k
+
+
+def _prime_lanes(p, terms):
+    """(width, k, magic) for the product lanes of `_Tables` over GF(p):
+    lanes of `width` bytes hold a sum of `terms` products of codes and
+    its quotient by p, (v * magic) >> k, as in `_lane_shape`."""
+    w, k = _lane_shape(p, 1, terms)
+    return -(-w // 8), k, -(-(1 << k) // p)
 
 
 def _digit_spreads(p, digits, w):
@@ -825,22 +860,61 @@ class _Tables(_Core):
             def axpy(u, f, v):
                 return bytes(map(getitem, map(add_row, u), v.translate(mt[f])))
 
-        def matmul(a_rows, b_rows):
-            brows = [bytes(r) for r in b_rows]
-            zero = bytes(len(brows[0]))
-            out = []
-            for row in a_rows:
-                acc = zero
-                for x, brow in zip(row, brows):
-                    if x:
-                        acc = axpy(acc, x, brow)
-                out.append(acc)
-            return out
+        if p == 2:
+            def matmul(a_rows, b_rows):
+                # XOR the rows of B as ints, translated when the scalar is
+                # not 1; one conversion to bytes per row of the product
+                brows = [bytes(r) for r in b_rows]
+                ints = [from_bytes(r, "little") for r in brows]
+                n = len(brows[0])
+                out = []
+                for row in a_rows:
+                    acc = 0
+                    for x, b, brow in zip(row, ints, brows):
+                        if x == 1:
+                            acc ^= b
+                        elif x:
+                            acc ^= from_bytes(brow.translate(mt[x]), "little")
+                    out.append(acc.to_bytes(n, "little"))
+                return out
+        elif m == 1:
+            times = operator.mul
+
+            def matmul(a_rows, b_rows):
+                # the rows of B in byte-wide lanes that hold the whole sum
+                # of an entry of A·B; every lane reduced once per row
+                width, k, magic = _prime_lanes(p, len(b_rows))
+                n = len(b_rows[0])
+                ints = []
+                for r in b_rows:
+                    lanes = bytearray(n * width)
+                    lanes[::width] = r
+                    ints.append(from_bytes(lanes, "little"))
+                quotients = from_bytes((b"\1" + bytes(width - 1)) * n, "little") * (
+                    (1 << (8 * width - k)) - 1)
+                out = []
+                for row in a_rows:
+                    s = sum(map(times, row, ints))
+                    s -= (s * magic >> k & quotients) * p
+                    out.append(s.to_bytes(n * width, "little")[::width])
+                return out
+        else:
+            def matmul(a_rows, b_rows):
+                brows = [bytes(r) for r in b_rows]
+                zero = bytes(len(brows[0]))
+                out = []
+                for row in a_rows:
+                    acc = zero
+                    for x, brow in zip(row, brows):
+                        if x:
+                            acc = axpy(acc, x, brow)
+                    out.append(acc)
+                return out
 
         self.add, self.mul, self.neg, self.inv = add, mul, neg.__getitem__, inv.__getitem__
         self.pack, self.axpy, self.scale, self.add_into = bytes, axpy, scale, add_into
         self.matmul = matmul
-        self.rref, self.rank = _stepwise_elimination(bytes, axpy, self.scale, self.neg, self.inv)
+        self.rref, self.rank = _stepwise_elimination(bytes, axpy, scale, self.neg, self.inv, mul)
         self.conj = self.dot_conj = None
         if m == 1:
             self.dot = base.dot

@@ -158,15 +158,18 @@ def min_distance_by_enumeration(c: LinearCode, budget=None) -> int:
 
 
 def maximal_so_by_enumeration(c: LinearCode, form: str = "euclidean",
-                              budget=None) -> bool:
+                              budget=None, *, hull_set=None) -> bool:
     """Whether no codeword outside the hull is self-orthogonal.
 
     Because the hull is orthogonal to all of C this is exactly the
-    statement that the hull is maximal self-orthogonal in C.
+    statement that the hull is maximal self-orthogonal in C.  hull_set
+    is the codeword set of `hull_by_enumeration(c, form)` when the
+    caller already has it; otherwise it is enumerated here.
     """
     check_form(c.spec, form)
     _check_budget(c, budget, "maximality enumeration")
-    hull_set, _ = hull_by_enumeration(c, form, budget)
+    if hull_set is None:
+        hull_set, _ = hull_by_enumeration(c, form, budget)
     spec = c.spec
     for w in enumerate_codewords(c, budget):
         if _form_dot(spec, w, w, form) == 0 and w not in hull_set:

@@ -217,6 +217,23 @@ def test_verify_names_why_it_skipped(capsys, fixtures_dir, tmp_path):
     assert out.splitlines()[-1] == "verdict: no check failed, 1 of 8 skipped"
 
 
+@pytest.mark.parametrize("name", ["hamming74", "ext635", "rand633"])
+def test_verify_walks_the_hull_once(capsys, monkeypatch, fixtures_dir, name):
+    """maximality-agreement reads the hull set that hull-vs-enumeration
+    enumerated, so one verify makes one hull walk."""
+    calls = []
+    walk = cli.oracle.hull_by_enumeration
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(cli.oracle, "hull_by_enumeration", counting)
+    rc, out, _ = run(capsys, "verify", str(fixtures_dir / f"{name}.code"))
+    assert rc == 0 and "all checks passed" in out
+    assert len(calls) == 1
+
+
 def permuted_columns(m, perm):
     return MatrixFq.from_rows(m.spec, [[row[j] for j in perm] for row in m.row_list()])
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from test_diag import shaped_code
 from test_rows import FIELDS
 
-from hullforge import oracle
+from hullforge import codes, oracle
 from hullforge.codes import (DEFAULT_BUDGET, BudgetExceeded, LinearCode,
                              _iter_codewords, dual, hull,
                              hull_dimension_via_gramian, is_hull_maximal_so_in,
@@ -203,6 +203,27 @@ def test_gramian_hull_is_the_dual_of_the_sum(case, shape, seed):
         assert rep.hull == c
     if shape in ("k=n", "lcd"):
         assert rep.hull is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FORM_CASES), st.sampled_from(("random", "k=n", "k=1", "n-k=1")),
+       st.integers(1, 8), st.integers(0, 2 ** 32))
+def test_gramians_off_the_free_block_match_the_full_products(case, shape, n, seed):
+    """S and the parity-side Gramian come from the free block A of the
+    canonical G; they equal G G^T and H H^T for the kernel basis H
+    (conjugate transposes, hermitian), entry for entry.  The columns of
+    a random code are shuffled, so the pivots fall anywhere."""
+    spec, form = case
+    rng = random.Random(seed)
+    k = {"random": rng.randint(1, n), "k=n": n, "k=1": 1, "n-k=1": max(n - 1, 1)}[shape]
+    perm = rng.sample(range(n), n)
+    g = random_code(spec, n, k, rng.randrange(2 ** 30)).gen
+    c = code(spec, [[row[j] for j in perm] for row in g.row_list()])
+    assert c.k == k
+    assert codes._gramian(c, form) == c.gen.gramian(form)
+    parity = codes._parity_rows(c, form)
+    assert codes._dual_gramian(c, form) == parity.gramian(form)
+    assert parity.rows == n - k
 
 
 # ---------------------------------------------------------------

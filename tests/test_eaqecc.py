@@ -148,7 +148,8 @@ def test_extension_fixture_635():
 
 def test_extension_checks_build_no_hull_generator(monkeypatch):
     """The extension reads the extended code's hull dimension off its
-    Gramian: no X @ G product forms a hull generator, here (1x3) @ (3x8)."""
+    Gramian, formed from the 3 x 5 free block of its [8, 3] generator:
+    no X @ G product forms a hull generator, here (1x3) @ (3x8)."""
     c = random_code(F5, 6, 3, 0)
     shapes = []
     matmul = MatrixFq.__matmul__
@@ -160,7 +161,7 @@ def test_extension_checks_build_no_hull_generator(monkeypatch):
     monkeypatch.setattr(MatrixFq, "__matmul__", recording)
     cert, _ = extend_euclidean(c, 2)
     assert cert.hull_preserved
-    assert (3, 8, 3) in shapes                  # the extended Gramian
+    assert (3, 5, 3) in shapes                  # the extended Gramian
     assert (1, 3, 8) not in shapes
 
 
@@ -351,17 +352,19 @@ def test_each_gramian_fact_is_computed_once_per_form(monkeypatch, spec, forms):
     Distances are refused (budget 1): they read no Gramian."""
     c = random_code(spec, 8, 4, 1)
     gramians, congruences = Counter(), Counter()
-    gramian, congruence = MatrixFq.gramian, diag._congruence
+    fact, congruence = codes._fact, diag._congruence
 
-    def counting_gramian(self, form="euclidean"):
-        gramians[form] += self is c.gen
-        return gramian(self, form)
+    def counting_fact(code, name, form, compute):
+        def counted():
+            gramians[form] += code is c and name == "gramian"
+            return compute()
+        return fact(code, name, form, counted)
 
     def counting_congruence(code, form, *args):
         congruences[form] += code is c
         return congruence(code, form, *args)
 
-    monkeypatch.setattr(MatrixFq, "gramian", counting_gramian)
+    monkeypatch.setattr(codes, "_fact", counting_fact)
     monkeypatch.setattr(diag, "_congruence", counting_congruence)
     for form in forms:
         ell = hull(c, form).ell

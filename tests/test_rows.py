@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullforge.gf import make_field
+from hullforge.gf import _prime_lanes, make_field
 from hullforge.matfq import MatrixFq, dot, pair_reduce_diagonal
 
 # GF(2), GF(3), GF(7), GF(4), GF(9), GF(49), GF(256) as named; GF(81),
 # GF(127) and GF(131) sit on either side of the one-byte digit packing
-# of the table core; GF(2^9), GF(3^6), GF(17^2) and GF(251^2) run on
+# of the table core, and GF(251) is its largest prime field, with the
+# widest product lanes; GF(2^9), GF(3^6), GF(17^2) and GF(251^2) run on
 # the lanes core, GF(257) on the integers mod p.
 FIELDS = [make_field(p, m) for p, m in
           [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (7, 2), (2, 8),
-           (3, 4), (127, 1), (131, 1), (2, 9), (3, 6), (17, 2), (251, 2),
-           (257, 1)]]
+           (3, 4), (127, 1), (131, 1), (251, 1), (2, 9), (3, 6), (17, 2),
+           (251, 2), (257, 1)]]
 
 fields = st.sampled_from(FIELDS)
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -304,21 +305,54 @@ def test_dot_on_long_rows_of_largest_codes(spec, n):
                 assert dot(spec, u, v, form) == naive_dot(spec, u, v, form)
 
 
-@pytest.mark.parametrize("spec", [f for f in FIELDS if f.q > 256], ids=lambda s: f"q{s.q}")
-@pytest.mark.parametrize("k", [1, 31, 32, 33, 64, 300])
-def test_matmul_on_long_rows_of_largest_codes(spec, k):
-    """Products sum the terms of each entry unreduced, finished in chunks
-    the lanes hold: rows of the largest code fill every lane to its bound,
-    past the chunk length too.  The hermitian Gramian on rows of
+def table_lane_edges(spec, limit=300):
+    """The inner dimensions k, up to limit, at which the product lanes of
+    the table core over an odd prime field grow by a byte; none on other
+    fields, whose table core reduces every term."""
+    if spec.q > 256 or spec.m > 1 or spec.p == 2:
+        return []
+    return [k for k in range(2, limit + 1)
+            if _prime_lanes(spec.p, k)[0] > _prime_lanes(spec.p, k - 1)[0]]
+
+
+def inner_dimensions(spec):
+    """1 and 300, and either side of each size of the core's products:
+    the 32 products a chunk of the lanes core holds, or the lane widths
+    of `table_lane_edges`."""
+    if spec.q > 256:
+        return [1, 31, 32, 33, 64, 300]
+    return sorted({1, 300}.union(*({e - 1, e} for e in table_lane_edges(spec))))
+
+
+MATMUL_CASES = [pytest.param(k, spec, id=f"{k}-q{spec.q}")
+                for spec in FIELDS for k in inner_dimensions(spec)]
+
+
+@pytest.mark.parametrize("k,spec", MATMUL_CASES)
+def test_matmul_on_long_rows_of_largest_codes(k, spec):
+    """Products sum the terms of each entry unreduced, in lanes or chunks
+    sized for them: rows of the largest code fill every lane to its
+    bound, on both sides of each size.  The hermitian Gramian on rows of
     `conj_lane_filler` fills them with conjugates."""
     rng = random.Random(k)
-    rows = [[spec.q - 1] * k, [spec.q - 1] * (k - 1) + [rng.randrange(spec.q)]]
+    rows = [[spec.q - 1] * k, [spec.q - 1] * (k - 1) + [rng.randrange(spec.q)],
+            [rng.randrange(spec.q) for _ in range(k)]]
     a = MatrixFq.from_rows(spec, rows)
     b = a.transpose()
     assert list((a @ b).entries) == naive_matmul(a, b)
+    assert spec._core.matmul([], b.row_list()) == []            # A with no rows
     if spec.subfield_order:
         g = MatrixFq.from_rows(spec, rows + [[conj_lane_filler(spec)] * k])
         assert list(g.gramian("hermitian").entries) == naive_gramian(g, "hermitian")
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+def test_matmul_with_one_row_of_b(spec):
+    """An inner dimension of 1: each entry of A scales the one row of B."""
+    top = spec.q - 1
+    a = MatrixFq.from_rows(spec, [[top], [1], [0]])
+    b = MatrixFq.from_rows(spec, [[top, 1, 0, top] * 20])
+    assert list((a @ b).entries) == naive_matmul(a, b)
 
 
 # ---------------------------------------------------------------
@@ -333,6 +367,26 @@ def test_rank_matches_reference(data):
     spec = data.draw(fields)
     m = data.draw(matrices(spec, cols=data.draw(st.integers(0, 8))))
     assert m.rank == naive_rref(m)[2]
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+def test_rank_of_long_rank_deficient_rows(spec):
+    """Forward elimination on rows of 70 entries: 8 random rows, 4 sums
+    of them and a zero row, after two zero columns, so some pivots skip
+    a column and some rows eliminate to zero."""
+    rng = random.Random(spec.q)
+    base = [[0, 0] + [rng.choice([0, 1, spec.q - 1, rng.randrange(spec.q)]) for _ in range(68)]
+            for _ in range(8)]
+    rows = base + [[0] * 70]
+    for _ in range(4):
+        combo = [0] * 70
+        for row in rng.sample(base, 3):
+            c = rng.randrange(1, spec.q)
+            combo = [spec.add(x, spec.mul(c, y)) for x, y in zip(combo, row)]
+        rows.insert(rng.randrange(len(rows) + 1), combo)
+    m = MatrixFq.from_rows(spec, rows)
+    assert m.rank == naive_rref(m)[2] == 8
+    assert m.transpose().rank == 8
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")

@@ -32,9 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import LinearCode, _fact, _gramian, _hull_rows, _is_maximal
-# hull has no use here, but bench/test_bench.py reads it as diag.hull.
+# hull and dot have no use here, but bench/test_bench.py reads them as
+# diag.hull and diag.dot.
 from .codes import hull  # noqa: F401
-from .matfq import MatrixFq, _inner, _stack, check_form, dot, pair_reduce_diagonal
+from .matfq import MatrixFq, _inner, _stack, check_form, pair_reduce_diagonal
+from .matfq import dot  # noqa: F401
 
 
 class NotLcdError(Exception):
@@ -104,7 +106,7 @@ def _congruence(c: LinearCode, form: str, indices, pairs: bool):
             s = 1 if form == "euclidean" else t
             (e, image), (f, f_image) = rows[i], rows[dependent]
             v, v_image = axpy(e, s, f), axpy(image, s, f_image)
-        nv = dot(spec, v_image, v, form)
+        nv = inner(v_image, v)
         pivots.append(v)
         diagonal.append(nv)
         inv_nv = inv(nv)
@@ -186,17 +188,15 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean") -> Diagonal
     check_form(c.spec, form)
     gram = _gramian(c, form)
     hull_rows = _hull_rows(c, form).row_list()
-    ell = len(hull_rows)
-    if not _is_maximal(gram, c.k - ell, form):
+    if not _is_maximal(gram, c.k - len(hull_rows), form):
         raise HullNotMaximalError(
             "hull is not maximal self-orthogonal in the code; "
             "no diagonal Gramian is certified")
-    # The pivot columns of [hull; I_k]^T are its rows that are independent
-    # of the rows before them.
-    units = [[int(t == i) for t in range(c.k)] for i in range(c.k)]
-    _, independent, _ = _stack(c.spec, hull_rows + units, c.k).transpose().rref()
-    complement = [i - ell for i in independent[ell:]]
-    rows, diagonal = _congruence(c, form, complement, False)
+    # Row i of G is independent of the hull and of the rows before it
+    # exactly when row i of S is independent of the rows of S before it:
+    # the hull's coefficient rows are the kernel of x -> xS.  So the
+    # complement is the pivot columns of S^T.
+    rows, diagonal = _congruence(c, form, gram.transpose().rref()[1], False)
     if len(diagonal) < len(rows):
         raise RuntimeError("complement vector became isotropic despite "
                            "a maximal hull; this should be impossible")

@@ -36,7 +36,7 @@ from .codes import (BudgetExceeded, LinearCode, _dual_gramian_rank, dual,
                     hull_dimension_via_gramian, make_code, min_distance,
                     resolve_budget)
 from .diag import diagonalize_odd
-from .matfq import _stack, check_form, dot
+from .matfq import _inner, _stack, check_form
 
 
 class ExtensionVerificationError(Exception):
@@ -147,6 +147,9 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
     q >= 5 the nonzero squares take (q-1)/2 >= 2 values, and for odd
     q0 >= 3 the norm maps onto GF(q0)*, which has at least 2 elements.
     """
+    # type, not isinstance: a bool is an int, and True would pass as 1.
+    if type(r) is not int:
+        raise ValueError(f"extension length r={r!r} must be an int")
     spec = code.spec
     diag_result = diagonalize_odd(code, form)
     n, k = code.n, code.k
@@ -187,7 +190,8 @@ def _build_extension(code: LinearCode, r: int, form: str, budget):
         raise ExtensionVerificationError(
             f"extended code is [{extended.n},{extended.k}], "
             f"expected [{n + r},{k}]", cert)
-    if any(dot(spec, w, h, form) for w in extended.gen.row_list() for h in new_parity):
+    inner = _inner(spec, form)
+    if any(inner(w, h) for w in extended.gen.row_list() for h in new_parity):
         raise ExtensionVerificationError(
             "extended code is not orthogonal to the new parity rows", cert)
     if _dual_gramian_rank(extended, form) != n + r - k - ext_ell:

@@ -33,17 +33,18 @@ loops of `matfq`, `diag` and the codeword walks run on:
   sequence of codes row, skipping the zero entries of row
 * ``matmul(a_rows, b_rows)``  the rows of A·B, from the rows of A and
   the rows of B as sequences of codes; B has at least one row
-* ``rref(rows)``      (rows, pivots): the reduced row echelon form of
-  the matrix with the given rows of codes, and its pivot columns
-* ``rank(rows)``      the rank of the matrix with the given rows
+* ``rref(rows, reduced=True)``  (rows, pivots): the reduced row echelon
+  form of the matrix with the given rows of codes, and its pivot
+  columns; with reduced false, forward elimination only, whose pivots
+  give the rank and whose rows are not to be read
 
 A row is indexed, iterated and tested like a sequence of codes.  Every
 operation is bound once, when its core is built, so a hot loop loads
-it into a local.  There are three cores.  `_Tables` and `_Prime`
-eliminate one pivot at a time on their `axpy` and `scale`: `rref` by
-Gauss-Jordan elimination, and `rank` by forward elimination, which
-clears below each pivot only and normalizes no row.  `_Lanes`
-eliminates on packed rows, described below.
+it into a local.  There are three cores, each with one elimination
+routine, `rref`.  `_Tables` and `_Prime` eliminate one pivot at a time
+on their `axpy` and `scale`: Gauss-Jordan elimination, or forward
+elimination, which clears below each pivot only and normalizes no row.
+`_Lanes` eliminates on packed rows, described below.
 
 `_Prime` serves GF(p) with p > 256: integers mod p.  Rows are lists;
 `axpy` and `scale` are list comprehensions mod p, and `dot` is
@@ -78,19 +79,19 @@ the products of spread codes unreduced in chunks of 32 (16 for
 the products of each entry of A·B unreduced, with one reduction per
 32 of them.
 
-Elimination on `_Lanes` packs a row into one int, entry t in slot t of
-2m - 1 lanes, but only once a row operation touches it: pivot tests and
-factors read an untouched row's codes, and it comes back as it was
-given.  A row operation is one big-int multiply-add and one reduction
+Elimination on `_Lanes` packs every row once, up front, into one int,
+entry t in slot t of 2m - 1 lanes, and unpacks every row at the end.
+A row operation is one big-int multiply-add and one reduction
 of the whole row: every lane mod p at once, then the high lanes
 m .. 2m - 2 of every slot fold back by polynomial Barrett reduction,
 whose quotient floor(A*mu / x^(m-2)), for A the high lanes and
 mu = x^(2m-2) div the modulus, is exact for every slot polynomial, then
 every lane mod p again.  Every product stays in its slot and every lane
 holds at most 3m(p - 1)^2, within the capacity of 32 products.
-`rank` runs forward elimination without fractions, row <- pv*row - e*prow
+Forward elimination runs without fractions, row <- pv*row - e*prow
 below each pivot, so it inverts nothing and reduces no row above a
-pivot; `rref` inverts each pivot once to normalize its row.
+pivot; Gauss-Jordan elimination inverts each pivot once to normalize
+its row.
 
 `_Tables` serves every field with q <= 256.  It holds dense tables,
 derived from the `_Prime` or `_Lanes` core of the same field: the
@@ -276,34 +277,24 @@ class _Core:
 
     conj and dot_conj are None over fields whose order is not a square.
     matmul(a_rows, b_rows) returns the rows of A·B as rows of the core
-    (bytes or lists), for a B with at least one row.  rref(rows) and
-    rank(rows) take the rows of a matrix as sequences of codes; rref
-    returns the rows of its reduced row echelon form, each a sequence
-    of codes (a row no operation touched may be the given one), and the
-    list of pivot columns.
+    (bytes or lists), for a B with at least one row.  rref(rows) takes
+    the rows of a matrix as sequences of codes and returns the rows of
+    its reduced row echelon form, each a new sequence of codes, and the
+    list of pivot columns; rref(rows, False) runs forward elimination
+    only, and its pivots, whose count is the rank, are the same.
     """
 
     __slots__ = ("add", "mul", "neg", "inv", "conj",
-                 "pack", "axpy", "scale", "dot", "dot_conj", "add_into", "matmul",
-                 "rref", "rank")
+                 "pack", "axpy", "scale", "dot", "dot_conj", "add_into", "matmul", "rref")
 
 
 def _stepwise_elimination(pack, axpy, scale, neg, inv, mul):
-    """`rref` and `rank` of `_Tables` and `_Prime`, one pivot at a time on
-    the core's `axpy` and `scale`, every row packed first.  `rref` is
-    Gauss-Jordan elimination; `rank` counts the pivots of forward
-    elimination, which clears below each pivot only and normalizes no
-    row."""
-    def pivot_row(rows, r, c):
-        """Swap the first row from r on with a nonzero entry in column c
-        into place r; false when there is none."""
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                rows[r], rows[i] = rows[i], rows[r]
-                return True
-        return False
-
-    def rref(rows):
+    """`rref` of `_Tables` and `_Prime`, one pivot at a time on the core's
+    `axpy` and `scale`, every row packed first: Gauss-Jordan elimination,
+    or with reduced false forward elimination, which clears below each
+    pivot only, normalizes no row and returns rows the caller must not
+    read."""
+    def rref(rows, reduced=True):
         rows = [pack(row) for row in rows]
         nrows = len(rows)
         pivots = []
@@ -311,39 +302,29 @@ def _stepwise_elimination(pack, axpy, scale, neg, inv, mul):
         for c in range(len(rows[0]) if rows else 0):
             if r == nrows:
                 break
-            if not pivot_row(rows, r, c):
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
                 continue
-            pv = rows[r][c]
-            if pv != 1:
-                rows[r] = scale(inv(pv), rows[r])
+            rows[r], rows[i] = rows[i], rows[r]
             prow = rows[r]
-            for i in range(nrows):
-                f = rows[i][c]
-                if f and i != r:
-                    rows[i] = axpy(rows[i], neg(f), prow)
+            if reduced:
+                if prow[c] != 1:
+                    prow = rows[r] = scale(inv(prow[c]), prow)
+                targets = range(nrows)
+            else:
+                f = neg(inv(prow[c]))
+                targets = range(r + 1, nrows)
+            for i in targets:
+                e = rows[i][c]
+                if e and i != r:
+                    rows[i] = axpy(rows[i], neg(e) if reduced else mul(e, f), prow)
             pivots.append(c)
             r += 1
         return rows, pivots
 
-    def rank(rows):
-        rows = [pack(row) for row in rows]
-        nrows = len(rows)
-        r = 0
-        for c in range(len(rows[0]) if rows else 0):
-            if r == nrows:
-                break
-            if not pivot_row(rows, r, c):
-                continue
-            prow = rows[r]
-            f = neg(inv(prow[c]))
-            for i in range(r + 1, nrows):
-                e = rows[i][c]
-                if e:
-                    rows[i] = axpy(rows[i], mul(e, f), prow)
-            r += 1
-        return r
-
-    return rref, rank
+    return rref
 
 
 def _add_into(add):
@@ -392,7 +373,7 @@ class _Prime(_Core):
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, None
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, None
         self.add_into, self.matmul = _add_into(add), matmul
-        self.rref, self.rank = _stepwise_elimination(list, axpy, scale, neg, inv, mul)
+        self.rref = _stepwise_elimination(list, axpy, scale, neg, inv, mul)
 
 
 def _lane_shape(p, m, terms):
@@ -596,12 +577,11 @@ class _Lanes(_Core):
 
         # Elimination on packed rows.  A packed row is one int that holds
         # the spread code of entry t in slot t, bits [slot*t, slot*(t+1)):
-        # 2m - 1 lanes, room for a product of two spread codes.  Only a
-        # row that a row operation touches is packed; the others are read
-        # as codes and come back as they were given.  A row operation,
-        # row <- pv*row + (-e)*prow, is one big-int multiply-add and one
-        # `fold_row`, which reduces every slot at once to the spread code
-        # of its polynomial F mod g:
+        # 2m - 1 lanes, room for a product of two spread codes.  `rref`
+        # packs every row once, up front, and unpacks every row at the
+        # end.  A row operation, row <- pv*row + (-e)*prow, is one big-int
+        # multiply-add and one `fold_row`, which reduces every slot at
+        # once to the spread code of its polynomial F mod g:
         #
         # * every lane mod p, as in `mod_p`: a lane's v * magic stays in
         #   its own lane, so a row of slots reduces like one product;
@@ -670,79 +650,42 @@ class _Lanes(_Core):
             """(rows, pivots) of the reduced row echelon form; with reduced
             false, the pivots of fraction-free forward elimination, which
             inverts nothing, and rows the caller must not read."""
-            nrows = len(rows)
             n = len(rows[0]) if rows else 0
-            rows = list(rows)
+            lanes, highs = row_masks(n)
+            packed = [pack_row(row) for row in rows]
+            nrows = len(packed)
             pivots = []
-            if not n:
-                return rows, pivots
-            lanes = highs = None          # row_masks(n), on the first row operation
-            packed = [None] * nrows
             r = 0
             for c in range(n):
                 if r == nrows:
                     break
                 shift = slot * c
                 for i in range(r, nrows):
-                    s = packed[i]
-                    if rows[i][c] if s is None else s >> shift & entry_mask:
+                    if packed[i] >> shift & entry_mask:
                         break
                 else:
                     continue
-                if i != r:
-                    rows[r], rows[i] = rows[i], rows[r]
-                    packed[r], packed[i] = packed[i], packed[r]
-                # the pivot row is packed only once a row operation reads it
+                packed[r], packed[i] = packed[i], packed[r]
                 prow = packed[r]
+                pv = prow >> shift & entry_mask
                 if reduced:
-                    if prow is None:
-                        pv = rows[r][c]
-                    else:
-                        pv = prow >> shift & entry_mask
-                        pv = unlo[pv & lo_mask] + unhi[pv >> cut]
+                    pv = unlo[pv & lo_mask] + unhi[pv >> cut]
                     if pv != 1:
-                        if lanes is None:
-                            lanes, highs = row_masks(n)
                         pv = inv(pv)
                         prow = packed[r] = fold_row(
-                            (lo[pv % half] + hi[pv // half]) * (prow or pack_row(rows[r])),
-                            lanes, highs)
-                        pv = 1
+                            (lo[pv % half] + hi[pv // half]) * prow, lanes, highs)
+                    pv = 1
                     targets = range(nrows)
                 else:
-                    if prow is None:
-                        pv = rows[r][c]
-                        pv = lo[pv % half] + hi[pv // half]
-                    else:
-                        pv = prow >> shift & entry_mask
                     targets = range(r + 1, nrows)
                 for i in targets:
                     s = packed[i]
-                    if s is None:
-                        e = rows[i][c]
-                        if not e or i == r:
-                            continue
-                        e = lo[e % half] + hi[e // half]
-                        s = pack_row(rows[i])
-                    else:
-                        e = s >> shift & entry_mask
-                        if not e or i == r:
-                            continue
-                    if prow is None:
-                        prow = pack_row(rows[r])
-                        if lanes is None:
-                            lanes, highs = row_masks(n)
-                    packed[i] = fold_row(pv * s + (p_ones - e) * prow, lanes, highs)
+                    e = s >> shift & entry_mask
+                    if e and i != r:
+                        packed[i] = fold_row(pv * s + (p_ones - e) * prow, lanes, highs)
                 pivots.append(c)
                 r += 1
-            if reduced and lanes is not None:     # some row was packed
-                for i, s in enumerate(packed):
-                    if s is not None:
-                        rows[i] = unpack_row(s, n)
-            return rows, pivots
-
-        def rank(rows):
-            return len(rref(rows, False)[1])
+            return [unpack_row(s, n) for s in packed] if reduced else packed, pivots
 
         conj = dot_conj = None
         if m % 2 == 0:
@@ -766,7 +709,7 @@ class _Lanes(_Core):
 
         self.add, self.mul, self.neg, self.inv, self.conj = add, mul, neg, inv, conj
         self.pack, self.axpy, self.scale, self.dot, self.dot_conj = list, axpy, scale, dot, dot_conj
-        self.add_into, self.matmul, self.rref, self.rank = _add_into(add), matmul, rref, rank
+        self.add_into, self.matmul, self.rref = _add_into(add), matmul, rref
 
 
 def _inverse_binary(a, g):
@@ -914,7 +857,7 @@ class _Tables(_Core):
         self.add, self.mul, self.neg, self.inv = add, mul, neg.__getitem__, inv.__getitem__
         self.pack, self.axpy, self.scale, self.add_into = bytes, axpy, scale, add_into
         self.matmul = matmul
-        self.rref, self.rank = _stepwise_elimination(bytes, axpy, scale, self.neg, self.inv, mul)
+        self.rref = _stepwise_elimination(bytes, axpy, scale, self.neg, self.inv, mul)
         self.conj = self.dot_conj = None
         if m == 1:
             self.dot = base.dot

@@ -10,13 +10,13 @@ Elimination, products, the pair reduction and `dot` run on the row
 operations of the field's arithmetic core (`gf`), bound when the field
 is built: bytes rows with translate tables for q <= 256, lists on the
 core's lanes or on integers mod p above that.  `rref` is one call of
-the core's `rref`, and `rank` one call of the core's `rank`, which
-forms no reduced rows.  A product, and with it every Gramian, is one
-call of the core's `matmul`.
+the core's `rref`, and `rank` one call of its forward half,
+``rref(rows, False)``, which forms no reduced rows.  A product, and
+with it every Gramian, is one call of the core's `matmul`.
 
-Entries are checked where they enter from outside: `MatrixFq(...)` and
-`MatrixFq.from_rows` reject an entry that is not an int in [0, q),
-a bool included.
+Entries are checked where they enter from outside: `MatrixFq(...)`,
+`MatrixFq.from_rows` and `dot` reject an entry that is not an int in
+[0, q), a bool included.
 Matrices the package computes itself are built by `_matrix`, which
 skips that per-entry check.
 """
@@ -50,11 +50,7 @@ class MatrixFq:
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError(f"shape ({rows}, {cols}) does not match "
                              f"{len(entries)} entries")
-        q = spec.q
-        for e in entries:
-            # type, not isinstance: a bool is an int but not a code
-            if type(e) is not int or not 0 <= e < q:
-                raise ValueError(f"entry {e!r} out of range for {spec!r}")
+        _check_entries(spec, entries)
         self.spec = spec
         self.rows = rows
         self.cols = cols
@@ -154,7 +150,7 @@ class MatrixFq:
 
     @property
     def rank(self) -> int:
-        return self.spec._core.rank(self.row_list())
+        return len(self.spec._core.rref(self.row_list(), False)[1])
 
     def kernel(self) -> "MatrixFq":
         """Basis of the right null space, one basis vector per row.
@@ -202,6 +198,14 @@ class MatrixFq:
                          for i in range(self.rows))
 
 
+def _check_entries(spec: FieldSpec, entries) -> None:
+    q = spec.q
+    for e in entries:
+        # type, not isinstance: a bool is an int but not a code
+        if type(e) is not int or not 0 <= e < q:
+            raise ValueError(f"entry {e!r} out of range for {spec!r}")
+
+
 def _matrix(spec: FieldSpec, rows: int, cols: int, entries: tuple) -> MatrixFq:
     """A MatrixFq from a tuple of entries the package computed itself.
 
@@ -233,6 +237,7 @@ def dot(spec: FieldSpec, u, v, form: str = "euclidean") -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     check_form(spec, form)
+    _check_entries(spec, chain(u, v))
     return _inner(spec, form)(u, v)
 
 

@@ -174,6 +174,16 @@ def test_extension_rejects_small_or_even_fields():
         extend_euclidean(random_code(F5, 4, 2, 1), 5)   # r > k - ell
 
 
+@pytest.mark.parametrize("r", [True, False, 1.0, "1", None])
+def test_extension_rejects_an_r_that_is_not_an_int(r):
+    """A bool is an int, so True would pass as 1 and the record JSON
+    would print "r": true; a float would fail later with TypeError."""
+    with pytest.raises(ValueError):
+        extend_euclidean(random_code(F5, 4, 2, 1), r)
+    with pytest.raises(ValueError):
+        extend_hermitian(random_code(F9, 5, 3, 0), r)
+
+
 def test_extension_certificate_roundtrip_structure():
     c = random_code(F5, 6, 3, 0)
     cert, record = extend_euclidean(c, 1)

@@ -9,6 +9,7 @@ from hullforge.matfq import (MatrixFq, dot, pair_reduce_diagonal,
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
+F7 = make_field(7, 1)
 F9 = make_field(3, 2)
 
 
@@ -30,6 +31,17 @@ def test_constructors_reject_bad_entries(bad):
         MatrixFq(F2, 1, 2, [0, bad])
     with pytest.raises(ValueError):
         MatrixFq.from_rows(F2, [[0, 1], [bad, 0]])
+
+
+@pytest.mark.parametrize("spec", [F7, F4], ids=repr)
+@pytest.mark.parametrize("bad", [9, -1, 1.0, True, False])
+def test_dot_rejects_bad_entries(spec, bad):
+    """`dot` makes the entry check of `MatrixFq(...)`: out of range an
+    entry would be reduced mod p (GF(7)) or index past a table (GF(4))."""
+    with pytest.raises(ValueError):
+        dot(spec, [bad], [1])
+    with pytest.raises(ValueError):
+        dot(spec, [1, 0], [0, bad])
 
 
 def test_rref_identity():

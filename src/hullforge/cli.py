@@ -4,11 +4,11 @@ operation, and a verify mode that replays the brute-force cross-checks.
 Exit codes: 0 success, 1 domain refusal (e.g. asking a non-LCD code for
 an orthogonal basis), 2 input error, 3 internal verification failure.
 
-Each result type has its own `*_json` encoder; one `from_json(cls, spec,
-obj)` decodes all of them, field by field of the dataclass.  `diag` and
-`verify` choose the diagonalization route in one place, and `verify`
-checks both the diagonal-Gramian generator and the diagonal
-cross-Gramian pair with one certificate.
+One `to_json(value)` encodes every result, by its type, and one
+`from_json(cls, spec, obj)` decodes it again, field by field of the
+dataclass.  `diag` and `verify` choose the diagonalization route in one
+place, and `verify` checks both the diagonal-Gramian generator and the
+diagonal cross-Gramian pair with one certificate.
 """
 
 from __future__ import annotations
@@ -19,19 +19,18 @@ import json
 import os
 import random
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__, oracle
-from .codes import (BudgetExceeded, HullReport, LinearCode, dual, hull,
+from .codes import (BudgetExceeded, LinearCode, dual, hull,
                     is_hull_maximal_so_in, make_code, min_distance,
                     random_invertible, resolve_budget)
 from .diag import (DiagonalizationResult, HullNotMaximalError, NotLcdError,
                    diagonalize_maximal_hull, diagonalize_odd,
                    pair_diagonal_generators)
-from .eaqecc import (EaqeccRecord, ExtensionCertificate,
-                     ExtensionVerificationError, base_params,
+from .eaqecc import (EaqeccRecord, ExtensionVerificationError, base_params,
                      extend_euclidean, extend_hermitian)
 from .gf import FieldSpec, make_field, modulus_str
 from .matfq import MatrixFq, row_space_equal, vstack
@@ -124,63 +123,43 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def field_json(spec: FieldSpec) -> dict:
-    return {"p": spec.p, "m": spec.m, "q": spec.q,
-            "modulus": list(spec.modulus),
-            "subfield_order": spec.subfield_order}
+def to_json(value):
+    """The JSON value of a field, code, matrix, fraction, tuple or result
+    dataclass, the mirror of `from_json`: a code is its n, k and
+    generator rows, never the facts it keeps; any other dataclass is its
+    fields, each encoded in turn; anything else is already JSON."""
+    if value is None or isinstance(value, (int, str)):
+        return value                   # most values; no type below matches
+    if isinstance(value, FieldSpec):
+        return {"p": value.p, "m": value.m, "q": value.q,
+                "modulus": list(value.modulus),
+                "subfield_order": value.subfield_order}
+    if isinstance(value, LinearCode):
+        return {"n": value.n, "k": value.k, "gen": to_json(value.gen)}
+    if isinstance(value, MatrixFq):
+        return [list(row) for row in value.row_list()]
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
-def matrix_json(m: MatrixFq) -> list:
-    return [list(m.row(i)) for i in range(m.rows)]
-
-
-def code_json(c: LinearCode) -> dict:
-    return {"n": c.n, "k": c.k, "gen": matrix_json(c.gen)}
-
-
-def fraction_json(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
-
-
-def hull_report_json(rep: HullReport) -> dict:
-    return {"form": rep.form,
-            "ell": rep.ell,
-            "hull": None if rep.hull is None else code_json(rep.hull),
-            "gramian_rank_g": rep.gramian_rank_g,
-            "gramian_rank_h": rep.gramian_rank_h,
-            "consistent": rep.consistent}
-
-
-def diag_result_json(res: DiagonalizationResult) -> dict:
-    return {"method": res.method,
-            "code": code_json(res.code),
-            "new_gen": matrix_json(res.new_gen),
-            "diagonal": list(res.diagonal),
-            "nonzero_count": res.nonzero_count}
-
-
-def record_json(rec: EaqeccRecord) -> dict:
-    return {"n": rec.n, "k_logical": rec.k_logical,
-            "d_exact": rec.d_exact,
-            "d_bounds": list(rec.d_bounds),
-            "c": rec.c, "q": rec.q,
-            "rate": fraction_json(rec.rate),
-            "net_rate": fraction_json(rec.net_rate),
-            "provenance": rec.provenance, "r": rec.r}
-
-
-def certificate_json(cert: ExtensionCertificate) -> dict:
-    return {"original": code_json(cert.original),
-            "extended": code_json(cert.extended),
-            "alphas": list(cert.alphas),
-            "x_rows": [list(x) for x in cert.x_rows],
-            "hull_preserved": cert.hull_preserved,
-            "d_prime": cert.d_prime}
+# These six names have no use here, but bench/checks.py encodes library
+# results by them.
+code_json = matrix_json = hull_report_json = to_json
+diag_result_json = record_json = certificate_json = to_json
 
 
 def _code_from_json(spec: FieldSpec, obj: dict | None) -> LinearCode | None:
-    return None if obj is None else make_code(
-        spec, MatrixFq.from_rows(spec, obj["gen"], cols=obj["n"]))
+    if obj is None:
+        return None
+    code = make_code(spec, MatrixFq.from_rows(spec, obj["gen"], cols=obj["n"]))
+    if code.k != obj["k"]:
+        raise ValueError(f"k is {obj['k']} but the generator has rank {code.k}")
+    return code
 
 
 def _fraction_from_json(spec: FieldSpec, obj: dict) -> Fraction:
@@ -201,7 +180,7 @@ _DECODERS = {"code": _code_from_json, "hull": _code_from_json,
 
 def from_json(cls, spec: FieldSpec | None, obj: dict):
     """The HullReport, DiagonalizationResult, EaqeccRecord or
-    ExtensionCertificate that the matching `*_json` encoder wrote as obj.
+    ExtensionCertificate that `to_json` wrote as obj.
 
     Each field is read by its name: codes (a missing hull is None), the
     new generator and the rates by their decoders, anything else by
@@ -216,7 +195,7 @@ def envelope(command: str, spec: FieldSpec | None, digest: str | None,
              result) -> dict:
     return {"tool_version": __version__,
             "command": command,
-            "field": None if spec is None else field_json(spec),
+            "field": to_json(spec),
             "input_digest": digest,
             "result": result}
 
@@ -276,7 +255,7 @@ def cmd_field_info(args):
             raise CodeFileError("field-info needs a code file or both -p and -m")
         spec = make_field(args.p, args.m)
         digest = None
-    return _emit(args, spec, digest, field_json(spec), _field_lines(spec))
+    return _emit(args, spec, digest, to_json(spec), _field_lines(spec))
 
 
 def cmd_hull(args):
@@ -295,7 +274,7 @@ def cmd_hull(args):
     lines.append(f"gramian ranks: generator {rep.gramian_rank_g}, "
                  f"parity {rep.gramian_rank_h}")
     lines.append(f"consistent: {'yes' if rep.consistent else 'NO'}")
-    return _emit(args, code.spec, digest, hull_report_json(rep), lines)
+    return _emit(args, code.spec, digest, to_json(rep), lines)
 
 
 def _diagonalize(code: LinearCode, form: str) -> DiagonalizationResult:
@@ -313,10 +292,10 @@ def cmd_diag(args):
         g1, g2, diagonal = pair_diagonal_generators(code, args.form)
         nonzero = sum(1 for d in diagonal if d)
         payload = {"method": "pair-reduction",
-                   "code": code_json(code),
-                   "gen_left": matrix_json(g1),
-                   "gen_right": matrix_json(g2),
-                   "diagonal": list(diagonal),
+                   "code": to_json(code),
+                   "gen_left": to_json(g1),
+                   "gen_right": to_json(g2),
+                   "diagonal": to_json(diagonal),
                    "nonzero_count": nonzero}
         lines = ["method: pair-reduction",
                  f"cross-gramian diagonal: {' '.join(map(str, diagonal))}",
@@ -329,7 +308,7 @@ def cmd_diag(args):
              "new generator:"]
     lines.extend("  " + " ".join(map(str, res.new_gen.row(i)))
                  for i in range(res.new_gen.rows))
-    return _emit(args, spec, digest, diag_result_json(res), lines)
+    return _emit(args, spec, digest, to_json(res), lines)
 
 
 def cmd_mindist(args):
@@ -353,8 +332,8 @@ def cmd_eaqecc_base(args):
     primary, secondary = base_params(code, args.form, budget)
     ell = code.k - primary.k_logical
     payload = {"hull_dimension": ell,
-               "primary": record_json(primary),
-               "dual_side": record_json(secondary)}
+               "primary": to_json(primary),
+               "dual_side": to_json(secondary)}
     lines = [f"hull dimension: {ell}"]
     lines += _record_lines(primary)
     lines += _record_lines(secondary)
@@ -368,8 +347,7 @@ def cmd_eaqecc_extend(args):
         cert, record = extend_hermitian(code, args.r, budget)
     else:
         cert, record = extend_euclidean(code, args.r, budget)
-    payload = {"certificate": certificate_json(cert),
-               "record": record_json(record)}
+    payload = {"certificate": to_json(cert), "record": to_json(record)}
     lines = [f"extension r: {args.r}",
              f"alphas: {' '.join(map(str, cert.alphas)) or '-'}",
              f"hull preserved: {'yes' if cert.hull_preserved else 'NO'}"]
@@ -564,9 +542,6 @@ def main(argv=None) -> int:
     args.command_line = " ".join(argv)
     try:
         return args.func(args)
-    except CodeFileError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
     except (NotLcdError, HullNotMaximalError, BudgetExceeded) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1

@@ -59,6 +59,15 @@ def resolve_budget(budget) -> int:
     return budget
 
 
+def _check_budget(c: LinearCode, budget, what: str) -> None:
+    """Refuse a walk over the q^k codewords of c that the budget does
+    not admit."""
+    cap = resolve_budget(budget)
+    total = c.spec.q ** c.k
+    if total > cap:
+        raise BudgetExceeded(total, cap, what)
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """An [n, k] code over spec, generated by the rows of gen (canonical rref).
@@ -272,10 +281,7 @@ def min_distance(c: LinearCode, budget=None) -> int:
 
     The refusal is decided on every call, against this call's budget;
     the walk runs once per code, and later calls read its answer."""
-    cap = resolve_budget(budget)
-    total = c.spec.q ** c.k
-    if total > cap:
-        raise BudgetExceeded(total, cap, "minimum distance")
+    _check_budget(c, budget, "minimum distance")
     return _fact(c, "distance", None, lambda: _min_weight(c))
 
 

@@ -151,18 +151,7 @@ _WIDE = 32
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, ample for orders up to 2^16."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 # ----------------------------------------------------------------------
@@ -179,24 +168,9 @@ def _poly_mul(a, b, p):
     return out
 
 
-def _poly_mod(f, g, p):
-    """Remainder of f modulo a monic polynomial g."""
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) > dg:
-        lead = f[-1]
-        if lead:
-            shift = len(f) - 1 - dg
-            for i in range(dg):
-                f[shift + i] = (f[shift + i] - lead * g[i]) % p
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_div(f, g, p):
-    """Quotient of f by a monic polynomial g."""
+def _poly_divmod(f, g, p):
+    """Quotient and remainder of f by a monic polynomial g; the remainder
+    carries no trailing zero coefficients."""
     f = list(f)
     dg = len(g) - 1
     quotient = [0] * (len(f) - dg)
@@ -205,7 +179,15 @@ def _poly_div(f, g, p):
         if lead:
             for i in range(dg + 1):
                 f[shift + i] = (f[shift + i] - lead * g[i]) % p
-    return quotient
+    del f[dg:]                  # the eliminated leading terms, all zero
+    while f and f[-1] == 0:
+        f.pop()
+    return quotient, f
+
+
+def _poly_mod(f, g, p):
+    """Remainder of f modulo a monic polynomial g."""
+    return _poly_divmod(f, g, p)[1]
 
 
 def _monic_polys(p, degree):
@@ -604,7 +586,7 @@ class _Lanes(_Core):
         entry_mask = (1 << (w * m)) - 1               # the low m lanes of a slot
         high_mask = (1 << (w * (m - 1))) - 1          # m - 1 lanes
         lane_masks = ones if p == 2 else quotients    # `mod_p` over one slot
-        mu = _poly_div([0] * (2 * m - 2) + [1], modulus, p)
+        mu, _ = _poly_divmod([0] * (2 * m - 2) + [1], modulus, p)
         mu = sum(d << (w * i) for i, d in enumerate(mu))
         neg_g = sum((-d % p) << (w * i) for i, d in enumerate(modulus))
         p_ones = p * _lane_ones(m, w)

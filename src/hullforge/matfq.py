@@ -61,12 +61,12 @@ class MatrixFq:
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows, cols: int | None = None) -> "MatrixFq":
         rows = [list(r) for r in rows]
-        if rows:
+        if cols is None:
+            if not rows:
+                raise ValueError("cols is required for a matrix with no rows")
             cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("cols is required for a matrix with no rows")
+        if any(len(r) != cols for r in rows):
+            raise ValueError(f"rows must all have length {cols}")
         flat = [e for r in rows for e in r]
         return cls(spec, len(rows), cols, flat)
 

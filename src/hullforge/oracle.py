@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .codes import BudgetExceeded, LinearCode, resolve_budget
+from .codes import LinearCode, _check_budget
 from .gf import FieldSpec
 from .matfq import check_form
 
@@ -29,14 +29,6 @@ def _form_dot(spec: FieldSpec, u, v, form: str) -> int:
             if x and y:
                 acc = add(acc, mul(x, conj(y)))
     return acc
-
-
-def _check_budget(c: LinearCode, budget, what: str) -> int:
-    cap = resolve_budget(budget)
-    total = c.spec.q ** c.k
-    if total > cap:
-        raise BudgetExceeded(total, cap, what)
-    return total
 
 
 def enumerate_codewords(c: LinearCode, budget=None):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import hullforge
 from hullforge import cli
-from hullforge.codes import HullReport, hull, make_code, random_code
+from hullforge.codes import HullReport, hull, make_code, min_distance, random_code
 from hullforge.diag import (DiagonalizationResult, HullNotMaximalError,
                             diagonalize_maximal_hull, diagonalize_odd)
 from hullforge.eaqecc import (EaqeccRecord, ExtensionCertificate, base_params,
@@ -26,18 +26,30 @@ F5 = make_field(5, 1)
 # Every field with q <= 9, and GF(17^2), which has no tables.
 ROUNDTRIP_FIELDS = [make_field(p, m) for p, m in
                     [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (17, 2)]]
+# A field of each core, the tables in both characteristics, the lanes
+# of GF(3^6) and the mod-p arithmetic of GF(257), with each form it allows.
+CORE_FIELD_FORMS = [(spec, form)
+                    for spec in (make_field(p, m) for p, m in
+                                 [(3, 1), (2, 2), (7, 1), (3, 2), (3, 6), (257, 1)])
+                    for form in ("euclidean", "hermitian")
+                    if form == "euclidean" or spec.subfield_order]
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def codes_and_forms(draw):
-    """A random [n, k] code, k = n included (zero dual, hull None), with
-    a form it supports."""
-    spec = draw(st.sampled_from(ROUNDTRIP_FIELDS))
-    forms = ("euclidean", "hermitian") if spec.subfield_order else ("euclidean",)
+def codes(draw, spec):
+    """A random [n, k] code over spec, k = n included (zero dual, hull None)."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, n))
-    return random_code(spec, n, k, draw(st.integers(0, 2 ** 30))), draw(st.sampled_from(forms))
+    return random_code(spec, n, k, draw(st.integers(0, 2 ** 30)))
+
+
+@st.composite
+def codes_and_forms(draw):
+    """A random code with a form it supports."""
+    spec = draw(st.sampled_from(ROUNDTRIP_FIELDS))
+    forms = ("euclidean", "hermitian") if spec.subfield_order else ("euclidean",)
+    return draw(codes(spec)), draw(st.sampled_from(forms))
 
 
 def roundtrip(to_json, obj):
@@ -375,18 +387,70 @@ def test_record_roundtrip(case, budget):
         assert cli.from_json(EaqeccRecord, c.spec, roundtrip(cli.record_json, rec)) == rec
 
 
+def _admits_extension(spec, form) -> bool:
+    """Whether the field has a length extension under form."""
+    if form == "hermitian":
+        return spec.p != 2 and spec.subfield_order >= 3
+    return spec.p != 2 and spec.q >= 5
+
+
 @PROPERTY
 @given(codes_and_forms(), st.integers(0, 6), st.sampled_from([1, 10 ** 4]))
 def test_certificate_roundtrip(case, r, budget):
     c, form = case
     spec = c.spec
-    hermitian = form == "hermitian"
-    if spec.p == 2 or (spec.subfield_order if hermitian else spec.q) < (3 if hermitian else 5):
-        return                           # no extension over this field
-    extend = extend_hermitian if hermitian else extend_euclidean
+    if not _admits_extension(spec, form):
+        return
+    extend = extend_hermitian if form == "hermitian" else extend_euclidean
     cert, _ = extend(c, min(r, c.k - hull(c, form).ell), budget)
     assert cli.from_json(ExtensionCertificate, spec,
                          roundtrip(cli.certificate_json, cert)) == cert
+
+
+@pytest.mark.parametrize("spec,form", CORE_FIELD_FORMS,
+                         ids=[f"GF({spec.q})-{form}" for spec, form in CORE_FIELD_FORMS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), r=st.integers(0, 6), budget=st.sampled_from([1, 10 ** 4]))
+def test_to_json_roundtrip(spec, form, data, r, budget):
+    """from_json reads back every result that to_json writes: the hull
+    report, the diagonalization of the field's route (where the
+    characteristic-2 route succeeds), both base records and, where the
+    field admits one, an extension certificate."""
+    c = data.draw(codes(spec))
+    rep = hull(c, form)
+    results = [rep, *base_params(c, form, budget)]
+    try:
+        results.append(cli._diagonalize(c, form))
+    except HullNotMaximalError:
+        pass
+    if _admits_extension(spec, form):
+        extend = extend_hermitian if form == "hermitian" else extend_euclidean
+        results.append(extend(c, min(r, c.k - rep.ell), budget)[0])
+    for x in results:
+        assert cli.from_json(type(x), spec, roundtrip(cli.to_json, x)) == x
+
+
+def test_to_json_of_a_code_is_only_its_generator():
+    """The facts a code keeps once asked never reach its JSON."""
+    c = random_code(F5, 6, 3, 1)
+    hull(c)
+    min_distance(c)
+    assert c._facts
+    assert sorted(cli.to_json(c)) == ["gen", "k", "n"]
+
+
+@pytest.mark.parametrize("obj", [{"n": 7, "k": 1, "gen": [[1, 1]]},
+                                 {"n": 2, "k": 5, "gen": [[1, 1]]},
+                                 {"n": 7, "k": 5, "gen": [[1, 1]]},
+                                 {"n": 2, "k": 2, "gen": [[1, 1], [1, 1]]}])
+def test_from_json_refuses_a_code_that_disagrees_with_its_generator(obj):
+    """n is the length of every generator row and k its rank."""
+    with pytest.raises(ValueError):
+        cli._code_from_json(F2, obj)
+    report = {"form": "euclidean", "hull": obj, "ell": 1, "gramian_rank_g": 0,
+              "gramian_rank_h": 0, "consistent": True}
+    with pytest.raises(ValueError):
+        cli.from_json(HullReport, F2, report)
 
 
 def test_main_answers_alike_after_a_usage_error_and_a_refusal(capsys, fixtures_dir, tmp_path):

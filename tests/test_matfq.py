@@ -33,6 +33,18 @@ def test_constructors_reject_bad_entries(bad):
         MatrixFq.from_rows(F2, [[0, 1], [bad, 0]])
 
 
+def test_from_rows_holds_rows_to_the_given_width():
+    """cols, when given, is the length of every row, not only of an
+    empty matrix's."""
+    with pytest.raises(ValueError):
+        MatrixFq.from_rows(F2, [[1, 1]], cols=7)
+    with pytest.raises(ValueError):
+        MatrixFq.from_rows(F2, [[1, 1], [0, 1, 1]], cols=2)
+    assert MatrixFq.from_rows(F2, [[1, 1]], cols=2) == MatrixFq.from_rows(F2, [[1, 1]])
+    empty = MatrixFq.from_rows(F2, [], cols=0)
+    assert (empty.rows, empty.cols) == (0, 0)
+
+
 @pytest.mark.parametrize("spec", [F7, F4], ids=repr)
 @pytest.mark.parametrize("bad", [9, -1, 1.0, True, False])
 def test_dot_rejects_bad_entries(spec, bad):

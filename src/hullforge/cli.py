@@ -30,8 +30,8 @@ from .codes import (BudgetExceeded, LinearCode, dual, hull,
 from .diag import (DiagonalizationResult, HullNotMaximalError, NotLcdError,
                    diagonalize_maximal_hull, diagonalize_odd,
                    pair_diagonal_generators)
-from .eaqecc import (EaqeccRecord, ExtensionVerificationError, base_params,
-                     extend_euclidean, extend_hermitian)
+from .eaqecc import (EaqeccRecord, ExtensionCertificate, ExtensionVerificationError,
+                     base_params, extend_euclidean, extend_hermitian)
 from .gf import FieldSpec, make_field, modulus_str
 from .matfq import MatrixFq, row_space_equal, vstack
 
@@ -178,6 +178,16 @@ _DECODERS = {"code": _code_from_json, "hull": _code_from_json,
              "rate": _fraction_from_json, "net_rate": _fraction_from_json}
 
 
+def _elements(spec: FieldSpec, values, count: int, low: int = 0) -> bool:
+    """Whether values are count elements of the field, none below low."""
+    return len(values) == count and all(type(x) is int and low <= x < spec.q for x in values)
+
+
+def _refuse_unless(ok: bool, name: str) -> None:
+    if not ok:
+        raise ValueError(f"{name} disagrees with its code")
+
+
 def from_json(cls, spec: FieldSpec | None, obj: dict):
     """The HullReport, DiagonalizationResult, EaqeccRecord or
     ExtensionCertificate that `to_json` wrote as obj.
@@ -185,10 +195,24 @@ def from_json(cls, spec: FieldSpec | None, obj: dict):
     Each field is read by its name: codes (a missing hull is None), the
     new generator and the rates by their decoders, anything else by
     `_plain`.  spec is the field of the codes and matrices; an
-    EaqeccRecord needs none.
+    EaqeccRecord needs none.  ValueError refuses a diagonalization
+    unless its generator is k x n, its diagonal k field elements and
+    nonzero_count the length of the diagonal's nonzero prefix, with
+    only zeros after it; and a certificate unless it has one nonzero
+    alpha and one x row of original.n field elements per added column.
     """
-    return cls(**{f.name: _DECODERS.get(f.name, _plain)(spec, obj[f.name])
-                  for f in fields(cls)})
+    value = cls(**{f.name: _DECODERS.get(f.name, _plain)(spec, obj[f.name])
+                   for f in fields(cls)})
+    if isinstance(value, DiagonalizationResult):
+        c, d, nz = value.code, value.diagonal, value.nonzero_count
+        _refuse_unless((value.new_gen.rows, value.new_gen.cols) == (c.k, c.n), "new_gen")
+        _refuse_unless(_elements(spec, d, c.k), "diagonal")
+        _refuse_unless(_elements(spec, d[:nz], nz, 1) and not any(d[nz:]), "nonzero_count")
+    elif isinstance(value, ExtensionCertificate):
+        n, r, rows = value.original.n, value.extended.n - value.original.n, value.x_rows
+        _refuse_unless(_elements(spec, value.alphas, r, 1), "alphas")
+        _refuse_unless(len(rows) == r and all(_elements(spec, x, n) for x in rows), "x_rows")
+    return value
 
 
 def envelope(command: str, spec: FieldSpec | None, digest: str | None,
@@ -385,8 +409,7 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
                        == oracle.min_distance_by_enumeration(code, budget)))
         checks.append(("maximality-agreement",
                        is_hull_maximal_so_in(code, form)
-                       == oracle.maximal_so_by_enumeration(code, form, budget,
-                                                           hull_set=hull_set)))
+                       == oracle.maximal_so_by_enumeration(code, form, budget)))
     else:
         if d is None:
             checks.append(("hull-vs-enumeration", rep.ell == 0))

@@ -4,6 +4,11 @@ Everything here decides questions by walking codewords and taking
 explicit inner products, deliberately not reusing the elimination-based
 paths in matfq/codes.  These routines may be orders of magnitude slower
 than the main paths; they exist to be obviously correct.
+
+The hull and maximality referees share one odometer, `_walk`, which
+steps a buffer with the core's `add_into` and nothing else.  The naive
+product walk, `enumerate_codewords`, stays the reference that both
+`_walk` and the distance walk of `codes` are held to.
 """
 
 from __future__ import annotations
@@ -49,6 +54,51 @@ def enumerate_codewords(c: LinearCode, budget=None):
         yield tuple(w)
 
 
+def _walk(spec: FieldSpec, rows):
+    """Yield every vector of the span of rows exactly once, messages in
+    ascending base-q order (first row most significant).
+
+    The yielded list is one reused buffer: read it, never keep it.
+    Moving row r's digit from v to v+1 mod q adds s x to each entry x of
+    the row, where s = (v+1 mod q) - v; that is (v+1)x - vx, or -(q-1)x
+    when the digit wraps.  The steps s take few distinct values, so each
+    row is scaled once per distinct step.  Each move is one `add_into`
+    of the core, and the walk uses no other core row operation.
+    """
+    q, k, mul, sub = spec.q, len(rows), spec.mul, spec.sub
+    steps = [sub((v + 1) % q, v) for v in range(q)]
+    scaled = [{s: tuple(mul(s, x) for x in row) for s in set(steps)} for row in rows]
+    add_into = spec._core.add_into
+    buf = [0] * len(rows[0])
+    yield buf
+    digits = [0] * k                  # digits[j] drives row k-1-j
+    for _ in range(q ** k - 1):
+        j = 0
+        while digits[j] == q - 1:
+            digits[j] = 0
+            add_into(buf, scaled[k - 1 - j][steps[q - 1]])
+            j += 1
+        add_into(buf, scaled[k - 1 - j][steps[digits[j]]])
+        digits[j] += 1
+        yield buf
+
+
+def _hull_walk(c: LinearCode, form: str):
+    """Yield (word, in_hull) for every codeword of c, in the order of
+    `enumerate_codewords`.
+
+    The walk runs over the generator rows, each extended by its inner
+    products with every generator row.  The form is linear in its first
+    argument, so the extended tail of a word w holds <w, g_j> for every
+    row g_j, and w is in the hull exactly when that tail is zero.
+    """
+    spec, n, rows = c.spec, c.n, c.gen.row_list()
+    extended = [row + tuple(_form_dot(spec, row, g, form) for g in rows)
+                for row in rows]
+    for buf in _walk(spec, extended):
+        yield buf[:n], not any(buf[n:])
+
+
 def hull_by_enumeration(c: LinearCode, form: str = "euclidean", budget=None):
     """The hull as an explicit codeword set, plus its dimension.
 
@@ -58,76 +108,34 @@ def hull_by_enumeration(c: LinearCode, form: str = "euclidean", budget=None):
     """
     check_form(c.spec, form)
     _check_budget(c, budget, "hull enumeration")
-    spec = c.spec
-    q = spec.q
-    rows = c.gen.row_list()
-    k, n = c.k, c.n
-
-    # Inner products of generator rows, used to update the constraint
-    # values incrementally as the message odometer ticks.
-    t_mat = [[_form_dot(spec, ri, rj, form) for rj in rows] for ri in rows]
-
-    mul, sub = spec.mul, spec.sub
-    scaled_rows = [[tuple(mul(v, x) for x in row) for v in range(q)]
-                   for row in rows]
-    delta_rows = [[tuple(sub(s[v + 1][t], s[v][t]) for t in range(n))
-                   for v in range(q - 1)] for s in scaled_rows]
-    roll_rows = [tuple(sub(0, s[q - 1][t]) for t in range(n))
-                 for s in scaled_rows]
-    dcodes = [sub(v + 1, v) for v in range(q - 1)]
-    rollcode = sub(0, q - 1)
-    delta_t = [[tuple(mul(d, t_mat[i][j]) for j in range(k)) for d in dcodes]
-               for i in range(k)]
-    roll_t = [tuple(mul(rollcode, t_mat[i][j]) for j in range(k))
-              for i in range(k)]
-
-    add_into = spec._core.add_into
-    c_buf = [0] * n
-    s_buf = [0] * k
-    members = [tuple(c_buf)]          # the zero word is always in the hull
-    digits = [0] * k
-    for _ in range(q ** k - 1):
-        j = 0
-        while digits[j] == q - 1:
-            digits[j] = 0
-            i = k - 1 - j
-            add_into(c_buf, roll_rows[i])
-            add_into(s_buf, roll_t[i])
-            j += 1
-        i = k - 1 - j
-        v = digits[j]
-        digits[j] += 1
-        add_into(c_buf, delta_rows[i][v])
-        add_into(s_buf, delta_t[i][v])
-        if not any(s_buf):
-            members.append(tuple(c_buf))
-
-    ell = _subspace_dimension(spec, members, n)
-    return frozenset(members), ell
+    members = frozenset(tuple(w) for w, in_hull in _hull_walk(c, form) if in_hull)
+    return members, _subspace_dimension(c.spec, members, c.n)
 
 
 def _subspace_dimension(spec: FieldSpec, members, n: int) -> int:
-    """Dimension of a codeword set, verifying it really is a subspace."""
+    """Dimension of a set of distinct vectors, verified to be a subspace.
+
+    Each member is reduced once against the echelon basis built so far:
+    it either reduces to zero, and so lies in that span, or it joins the
+    basis.  Every member therefore lies in the span of the final basis,
+    which holds q^dim vectors, and distinct members are closed under
+    addition and scaling exactly when they fill it, that is when there
+    are q^dim of them.  So the count is the whole closure test.
+    """
     sub, mul, inv = spec.sub, spec.mul, spec.inv
     echelon = []                      # (pivot position, reduced vector)
-
-    def reduce(vec):
-        vec = list(vec)
+    for w in members:
+        vec = list(w)
         for pos, basis_vec in echelon:
             f = vec[pos]
             if f:
                 for t in range(pos, n):
                     if basis_vec[t]:
                         vec[t] = sub(vec[t], mul(f, basis_vec[t]))
-        return vec
-
-    for w in members:
-        vec = reduce(w)
         for pos in range(n):
             if vec[pos]:
                 piv_inv = inv(vec[pos])
-                vec = [mul(piv_inv, x) for x in vec]
-                echelon.append((pos, vec))
+                echelon.append((pos, [mul(piv_inv, x) for x in vec]))
                 echelon.sort(key=lambda e: e[0])
                 break
 
@@ -135,9 +143,6 @@ def _subspace_dimension(spec: FieldSpec, members, n: int) -> int:
     if len(members) != spec.q ** dim:
         raise RuntimeError("enumerated hull is not closed: "
                            f"{len(members)} words but rank {dim}")
-    for w in members:
-        if any(reduce(w)):
-            raise RuntimeError("enumerated hull is not closed under addition")
     return dim
 
 
@@ -150,20 +155,15 @@ def min_distance_by_enumeration(c: LinearCode, budget=None) -> int:
 
 
 def maximal_so_by_enumeration(c: LinearCode, form: str = "euclidean",
-                              budget=None, *, hull_set=None) -> bool:
+                              budget=None) -> bool:
     """Whether no codeword outside the hull is self-orthogonal.
 
     Because the hull is orthogonal to all of C this is exactly the
-    statement that the hull is maximal self-orthogonal in C.  hull_set
-    is the codeword set of `hull_by_enumeration(c, form)` when the
-    caller already has it; otherwise it is enumerated here.
+    statement that the hull is maximal self-orthogonal in C.  One walk
+    answers it: each word carries its own hull flag, so no hull set is
+    kept, and memory does not grow with q^k.
     """
     check_form(c.spec, form)
     _check_budget(c, budget, "maximality enumeration")
-    if hull_set is None:
-        hull_set, _ = hull_by_enumeration(c, form, budget)
-    spec = c.spec
-    for w in enumerate_codewords(c, budget):
-        if _form_dot(spec, w, w, form) == 0 and w not in hull_set:
-            return False
-    return True
+    return all(in_hull or _form_dot(c.spec, w, w, form) != 0
+               for w, in_hull in _hull_walk(c, form))

@@ -21,6 +21,7 @@ from hullforge.gf import make_field
 from hullforge.matfq import MatrixFq, row_space_equal
 
 F2 = make_field(2, 1)
+F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 
 # Every field with q <= 9, and GF(17^2), which has no tables.
@@ -231,8 +232,9 @@ def test_verify_names_why_it_skipped(capsys, fixtures_dir, tmp_path):
 
 @pytest.mark.parametrize("name", ["hamming74", "ext635", "rand633"])
 def test_verify_walks_the_hull_once(capsys, monkeypatch, fixtures_dir, name):
-    """maximality-agreement reads the hull set that hull-vs-enumeration
-    enumerated, so one verify makes one hull walk."""
+    """hull-vs-enumeration is the one check that builds the hull set;
+    maximality-agreement reads each word's hull flag off its own walk,
+    so one verify builds the hull set once."""
     calls = []
     walk = cli.oracle.hull_by_enumeration
 
@@ -451,6 +453,64 @@ def test_from_json_refuses_a_code_that_disagrees_with_its_generator(obj):
               "gramian_rank_h": 0, "consistent": True}
     with pytest.raises(ValueError):
         cli.from_json(HullReport, F2, report)
+
+
+DIAG_2x3 = {"code": {"n": 3, "k": 2, "gen": [[1, 0, 0], [0, 1, 0]]},
+            "new_gen": [[1, 0, 0], [0, 1, 0]], "diagonal": [1, 1],
+            "nonzero_count": 2, "method": "odd-induction"}
+
+
+@pytest.mark.parametrize("part,bad", [
+    ("new_gen", [[1], [2]]),              # k x 1, not k x n
+    ("new_gen", [[1, 0, 0]]),             # 1 x n, not k x n
+    ("diagonal", [5, 7]),                 # outside GF(3)
+    ("diagonal", [1, 1, 0]),              # n entries, not k
+    ("nonzero_count", 4),                 # longer than the diagonal
+    ("nonzero_count", 1),                 # a nonzero entry after the prefix
+    ("nonzero_count", -1)])
+def test_from_json_refuses_a_diagonalization_that_disagrees_with_its_code(part, bad):
+    obj = {**DIAG_2x3, part: bad}
+    with pytest.raises(ValueError, match=part):
+        cli.from_json(DiagonalizationResult, F3, obj)
+
+
+def test_from_json_refuses_a_diagonal_with_a_gap_in_its_nonzero_prefix():
+    obj = {**DIAG_2x3, "diagonal": [0, 1], "nonzero_count": 1}
+    with pytest.raises(ValueError, match="nonzero_count"):
+        cli.from_json(DiagonalizationResult, F3, obj)
+    ok = {**DIAG_2x3, "diagonal": [2, 0], "nonzero_count": 1}
+    assert cli.from_json(DiagonalizationResult, F3, ok).nonzero_count == 1
+
+
+def test_from_json_refuses_every_part_of_a_diagonalization_at_once():
+    """A [3,1] code over GF(3) with a 2 x 1 generator, a diagonal of n
+    entries outside the field and a nonzero_count beyond k."""
+    obj = {"code": {"n": 3, "k": 1, "gen": [[1, 0, 0]]}, "new_gen": [[1], [2]],
+           "diagonal": [5, 7, 9], "nonzero_count": 4, "method": "odd-induction"}
+    with pytest.raises(ValueError):
+        cli.from_json(DiagonalizationResult, F3, obj)
+
+
+CERT_6_TO_8 = {"original": {"n": 6, "k": 3, "gen": [[1, 0, 0, 4, 0, 0], [0, 1, 0, 2, 0, 2],
+                                                     [0, 0, 1, 1, 0, 4]]},
+               "extended": {"n": 8, "k": 3, "gen": [[1, 0, 0, 4, 3, 1, 0, 0],
+                                                     [0, 1, 0, 1, 3, 0, 0, 4],
+                                                     [0, 0, 1, 3, 1, 1, 0, 0]]},
+               "alphas": [1, 1], "x_rows": [[1, 0, 0, 4, 0, 0], [1, 1, 0, 1, 0, 2]],
+               "hull_preserved": True, "d_prime": 3}
+
+
+@pytest.mark.parametrize("part,bad", [
+    ("alphas", [0, 9]),                   # a zero alpha and one outside GF(5)
+    ("alphas", [0, 1]),                   # a zero alpha
+    ("alphas", [1]),                      # one alpha for two added columns
+    ("x_rows", [[7, 7]]),                 # one short row outside GF(5)
+    ("x_rows", [[1, 0, 0, 4, 0, 0]]),     # one row for two added columns
+    ("x_rows", [[1, 0, 0, 4, 0], [1, 1, 0, 1, 0]]),   # rows shorter than n
+    ("x_rows", [[1, 0, 0, 4, 0, 5], [1, 1, 0, 1, 0, 2]])])  # 5 is outside GF(5)
+def test_from_json_refuses_a_certificate_that_disagrees_with_its_codes(part, bad):
+    with pytest.raises(ValueError, match=part):
+        cli.from_json(ExtensionCertificate, F5, {**CERT_6_TO_8, part: bad})
 
 
 def test_main_answers_alike_after_a_usage_error_and_a_refusal(capsys, fixtures_dir, tmp_path):

@@ -1,6 +1,9 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_rows import FIELDS
 
 from hullforge import oracle
 from hullforge.codes import (BudgetExceeded, is_hull_maximal_so_in, make_code,
@@ -44,6 +47,91 @@ def test_min_distance_by_enumeration_keeps_no_codeword_table():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         list(oracle.enumerate_codewords(code(F2, [[1, 0], [0, 1]]), budget=3))
+
+
+def _largest_k(q: int, words: int) -> int:
+    """The largest k <= 4 with q^k <= words, and at least 1."""
+    return max([1] + [k for k in range(1, 5) if q ** k <= words])
+
+
+def _examples(spec) -> int:
+    """Hypothesis examples per field: one where a single walk over
+    q > 256 takes a good part of a second, several elsewhere."""
+    return 8 if spec.q <= 256 else 1
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=repr)
+def test_walk_against_the_product_walk(spec):
+    """The odometer visits the words of the naive product walk in its
+    order.  Over q > 256, k is as large as 10^5 words allow, which is 2 on
+    GF(17^2) and GF(257), so the roll rows run on the lanes core and on
+    the integers mod p."""
+    kmax = _largest_k(spec.q, 3000 if spec.q <= 256 else 10 ** 5)
+
+    @settings(max_examples=_examples(spec), deadline=None)
+    @given(k=st.integers(1, kmax) if spec.q <= 256 else st.just(kmax),
+           extra=st.integers(0, 2), seed=st.integers(0, 2 ** 30))
+    def check(k, extra, seed):
+        c = random_code(spec, k + extra, k, seed)
+        assert ([tuple(w) for w in oracle._walk(spec, c.gen.row_list())]
+                == list(oracle.enumerate_codewords(c)))
+
+    check()
+
+
+FIELD_FORMS = [(spec, form) for spec in FIELDS for form in ("euclidean", "hermitian")
+               if form == "euclidean" or spec.subfield_order]
+
+
+@pytest.mark.parametrize("spec,form", FIELD_FORMS,
+                         ids=[f"GF({spec.q})-{form}" for spec, form in FIELD_FORMS])
+def test_hull_walk_flags_the_words_orthogonal_to_every_row(spec, form):
+    """A word's in_hull flag, read off the extended tail of the walk, is
+    the statement that the word is orthogonal to every generator row."""
+
+    @settings(max_examples=_examples(spec), deadline=None)
+    @given(k=st.integers(1, _largest_k(spec.q, 3000)), extra=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 30))
+    def check(k, extra, seed):
+        c = random_code(spec, k + extra, k, seed)
+        rows = c.gen.row_list()
+        for w, in_hull in oracle._hull_walk(c, form):
+            assert len(w) == c.n
+            assert in_hull == all(oracle._form_dot(spec, w, g, form) == 0 for g in rows)
+
+    check()
+
+
+def tetracodes(blocks: int):
+    """The self-dual [4 blocks, 2 blocks]_3 code: the tetracode, rows
+    1 0 1 1 and 0 1 1 2, on the block diagonal."""
+    rows = []
+    for b in range(blocks):
+        for tetra in ([1, 0, 1, 1], [0, 1, 1, 2]):
+            rows.append([0] * 4 * b + tetra + [0] * 4 * (blocks - 1 - b))
+    return code(F3, rows)
+
+
+def test_maximality_keeps_no_hull_set():
+    """One walk answers maximality: on the 3^8 = 6561 hull words of a
+    self-dual [16,8]_3 code a hull set peaks near 1.7 MiB, the walk
+    under 0.25 MiB."""
+    c = tetracodes(4)
+    tracemalloc.start()
+    try:
+        maximal = oracle.maximal_so_by_enumeration(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+    assert maximal is True
+
+
+def test_subspace_dimension_checks_closure():
+    members = {(0, 0, 0), (1, 0, 0), (0, 1, 0)}
+    with pytest.raises(RuntimeError):
+        oracle._subspace_dimension(F2, members, 3)
+    assert oracle._subspace_dimension(F2, members | {(1, 1, 0)}, 3) == 2
 
 
 def test_hull_by_enumeration_pinned(fixtures_dir):

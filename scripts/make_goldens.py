@@ -72,13 +72,14 @@ def write_fixtures(codes):
 
 
 def write_hull_golden(name, code, form):
-    members, ell = oracle.hull_by_enumeration(code, form)
+    members = sorted(tuple(w) for w, h in oracle._hull_walk(code, form) if h)
+    ell = oracle.hull_by_enumeration(code, form)[1]
     spec = code.spec
     lines = [f"# hull codewords of fixtures/{name}.code ({form} form)",
              "# produced by: hullforge.oracle.hull_by_enumeration via "
              "scripts/make_goldens.py",
              f"{spec.p} {spec.m} {code.n} {ell}"]
-    for w in sorted(members):
+    for w in members:
         lines.append(" ".join(str(x) for x in w))
     path = GOLD / f"{name}.hull.{form}.golden"
     path.write_text("\n".join(lines) + "\n")

@@ -4,11 +4,12 @@ operation, and a verify mode that replays the brute-force cross-checks.
 Exit codes: 0 success, 1 domain refusal (e.g. asking a non-LCD code for
 an orthogonal basis), 2 input error, 3 internal verification failure.
 
-One `to_json(value)` encodes every result, by its type, and one
-`from_json(cls, spec, obj)` decodes it again, field by field of the
-dataclass.  `diag` and `verify` choose the diagonalization route in one
-place, and `verify` checks both the diagonal-Gramian generator and the
-diagonal cross-Gramian pair with one certificate.
+One `to_json(value)` encodes every result, by its type.  JSON is
+output only: nothing here reads it back, and a result is re-checked by
+running `verify` on its code file.  `diag` and `verify` choose the
+diagonalization route in one place, and `verify` checks both the
+diagonal-Gramian generator and the diagonal cross-Gramian pair with one
+certificate.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .codes import (BudgetExceeded, LinearCode, dual, hull,
 from .diag import (DiagonalizationResult, HullNotMaximalError, NotLcdError,
                    diagonalize_maximal_hull, diagonalize_odd,
                    pair_diagonal_generators)
-from .eaqecc import (EaqeccRecord, ExtensionCertificate, ExtensionVerificationError,
-                     base_params, extend_euclidean, extend_hermitian)
+from .eaqecc import (EaqeccRecord, ExtensionVerificationError, base_params,
+                     extend_euclidean, extend_hermitian)
 from .gf import FieldSpec, make_field, modulus_str
 from .matfq import MatrixFq, row_space_equal, vstack
 
@@ -125,9 +126,10 @@ def dumps(obj) -> str:
 
 def to_json(value):
     """The JSON value of a field, code, matrix, fraction, tuple or result
-    dataclass, the mirror of `from_json`: a code is its n, k and
-    generator rows, never the facts it keeps; any other dataclass is its
-    fields, each encoded in turn; anything else is already JSON."""
+    dataclass: a code is its n, k and generator rows, never the facts it
+    keeps; a matrix its rows; a fraction its num and den; a tuple a
+    list; any other dataclass is its fields, each encoded in turn;
+    anything else is already JSON."""
     if value is None or isinstance(value, (int, str)):
         return value                   # most values; no type below matches
     if isinstance(value, FieldSpec):
@@ -151,68 +153,6 @@ def to_json(value):
 # results by them.
 code_json = matrix_json = hull_report_json = to_json
 diag_result_json = record_json = certificate_json = to_json
-
-
-def _code_from_json(spec: FieldSpec, obj: dict | None) -> LinearCode | None:
-    if obj is None:
-        return None
-    code = make_code(spec, MatrixFq.from_rows(spec, obj["gen"], cols=obj["n"]))
-    if code.k != obj["k"]:
-        raise ValueError(f"k is {obj['k']} but the generator has rank {code.k}")
-    return code
-
-
-def _fraction_from_json(spec: FieldSpec, obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
-
-
-def _plain(spec: FieldSpec, value):
-    """A JSON value as it is, but with lists as nested tuples."""
-    return tuple(_plain(spec, v) for v in value) if isinstance(value, list) else value
-
-
-# The decoder of each field, by name, whose value is not plain.
-_DECODERS = {"code": _code_from_json, "hull": _code_from_json,
-             "original": _code_from_json, "extended": _code_from_json,
-             "new_gen": MatrixFq.from_rows,
-             "rate": _fraction_from_json, "net_rate": _fraction_from_json}
-
-
-def _elements(spec: FieldSpec, values, count: int, low: int = 0) -> bool:
-    """Whether values are count elements of the field, none below low."""
-    return len(values) == count and all(type(x) is int and low <= x < spec.q for x in values)
-
-
-def _refuse_unless(ok: bool, name: str) -> None:
-    if not ok:
-        raise ValueError(f"{name} disagrees with its code")
-
-
-def from_json(cls, spec: FieldSpec | None, obj: dict):
-    """The HullReport, DiagonalizationResult, EaqeccRecord or
-    ExtensionCertificate that `to_json` wrote as obj.
-
-    Each field is read by its name: codes (a missing hull is None), the
-    new generator and the rates by their decoders, anything else by
-    `_plain`.  spec is the field of the codes and matrices; an
-    EaqeccRecord needs none.  ValueError refuses a diagonalization
-    unless its generator is k x n, its diagonal k field elements and
-    nonzero_count the length of the diagonal's nonzero prefix, with
-    only zeros after it; and a certificate unless it has one nonzero
-    alpha and one x row of original.n field elements per added column.
-    """
-    value = cls(**{f.name: _DECODERS.get(f.name, _plain)(spec, obj[f.name])
-                   for f in fields(cls)})
-    if isinstance(value, DiagonalizationResult):
-        c, d, nz = value.code, value.diagonal, value.nonzero_count
-        _refuse_unless((value.new_gen.rows, value.new_gen.cols) == (c.k, c.n), "new_gen")
-        _refuse_unless(_elements(spec, d, c.k), "diagonal")
-        _refuse_unless(_elements(spec, d[:nz], nz, 1) and not any(d[nz:]), "nonzero_count")
-    elif isinstance(value, ExtensionCertificate):
-        n, r, rows = value.original.n, value.extended.n - value.original.n, value.x_rows
-        _refuse_unless(_elements(spec, value.alphas, r, 1), "alphas")
-        _refuse_unless(len(rows) == r and all(_elements(spec, x, n) for x in rows), "x_rows")
-    return value
 
 
 def envelope(command: str, spec: FieldSpec | None, digest: str | None,
@@ -401,8 +341,8 @@ def _verify_checks(code: LinearCode, form: str, budget: int, seed: int):
     checks.append(("gramian-shortcut-agreement", rep.hull == by_sum))
 
     if q ** code.k <= budget:
-        hull_set, oracle_ell = oracle.hull_by_enumeration(code, form, budget)
-        ok = oracle_ell == rep.ell and len(hull_set) == q ** rep.ell
+        words, oracle_ell = oracle.hull_by_enumeration(code, form, budget)
+        ok = oracle_ell == rep.ell and words == q ** rep.ell
         checks.append(("hull-vs-enumeration", ok))
         checks.append(("min-distance-agreement",
                        min_distance(code, budget)

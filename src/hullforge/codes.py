@@ -289,12 +289,9 @@ def _min_weight(c: LinearCode) -> int:
     """The least weight of a nonzero codeword, over one codeword walk."""
     stream = _iter_codewords(c.spec, c.gen.row_list())
     next(stream)                       # zero word
-    best = c.n
+    best = n = c.n
     for w in stream:
-        weight = 0
-        for x in w:
-            if x:
-                weight += 1
+        weight = n - w.count(0)
         if weight < best:
             best = weight
             if best == 1:

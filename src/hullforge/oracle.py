@@ -6,7 +6,8 @@ paths in matfq/codes.  These routines may be orders of magnitude slower
 than the main paths; they exist to be obviously correct.
 
 The hull and maximality referees share one odometer, `_walk`, which
-steps a buffer with the core's `add_into` and nothing else.  The naive
+steps a buffer with the core's `add_into` and nothing else, and neither
+keeps a set of hull words.  The naive
 product walk, `enumerate_codewords`, stays the reference that both
 `_walk` and the distance walk of `codes` are held to.
 """
@@ -100,31 +101,36 @@ def _hull_walk(c: LinearCode, form: str):
 
 
 def hull_by_enumeration(c: LinearCode, form: str = "euclidean", budget=None):
-    """The hull as an explicit codeword set, plus its dimension.
+    """The number of hull words and the hull dimension, from one walk.
 
-    Walks every codeword of C and keeps those orthogonal to every
-    generator row under the requested form.  The result is checked to
-    be a subspace before the dimension is read off its size.
+    Walks every codeword of C and streams those orthogonal to every
+    generator row under the requested form into `_subspace_dimension`,
+    which checks that they fill a subspace and keeps no set of them, so
+    memory stays O(k n) whatever q^k is.
     """
     check_form(c.spec, form)
     _check_budget(c, budget, "hull enumeration")
-    members = frozenset(tuple(w) for w, in_hull in _hull_walk(c, form) if in_hull)
-    return members, _subspace_dimension(c.spec, members, c.n)
+    words = (w for w, in_hull in _hull_walk(c, form) if in_hull)
+    return _subspace_dimension(c.spec, words, c.n)
 
 
-def _subspace_dimension(spec: FieldSpec, members, n: int) -> int:
-    """Dimension of a set of distinct vectors, verified to be a subspace.
+def _subspace_dimension(spec: FieldSpec, words, n: int):
+    """(count, dim) of a stream of vectors, verified to be a subspace.
 
-    Each member is reduced once against the echelon basis built so far:
-    it either reduces to zero, and so lies in that span, or it joins the
-    basis.  Every member therefore lies in the span of the final basis,
-    which holds q^dim vectors, and distinct members are closed under
-    addition and scaling exactly when they fill it, that is when there
-    are q^dim of them.  So the count is the whole closure test.
+    Each word is reduced once against the echelon basis built so far, in
+    arrival order: it either reduces to zero, and so lies in that span,
+    or it joins the basis.  Every word therefore lies in the span of the
+    final basis, which holds q^dim vectors.  Exactly one zero word means
+    the stream came from an injective walk, so its words are distinct;
+    and distinct words are closed under addition and scaling exactly
+    when they fill that span, that is when there are q^dim of them.
     """
     sub, mul, inv = spec.sub, spec.mul, spec.inv
     echelon = []                      # (pivot position, reduced vector)
-    for w in members:
+    count = zeros = 0
+    for w in words:
+        count += 1
+        zeros += not any(w)
         vec = list(w)
         for pos, basis_vec in echelon:
             f = vec[pos]
@@ -140,10 +146,10 @@ def _subspace_dimension(spec: FieldSpec, members, n: int) -> int:
                 break
 
     dim = len(echelon)
-    if len(members) != spec.q ** dim:
-        raise RuntimeError("enumerated hull is not closed: "
-                           f"{len(members)} words but rank {dim}")
-    return dim
+    if zeros != 1 or count != spec.q ** dim:
+        raise RuntimeError("enumerated hull is not a subspace: "
+                           f"{count} words, {zeros} of them zero, but rank {dim}")
+    return count, dim
 
 
 def min_distance_by_enumeration(c: LinearCode, budget=None) -> int:

@@ -272,8 +272,8 @@ def test_criterion_07_base_parameters(fixtures_dir):
     words = [tuple(int(t) for t in line.split())
              for line in golden.splitlines()
              if line and not line.startswith("#")][1:]
-    members, ell = oracle.hull_by_enumeration(code)
-    assert ell == 3 and members == set(words)
+    members = {tuple(w) for w, in_hull in oracle._hull_walk(code, "euclidean") if in_hull}
+    assert oracle.hull_by_enumeration(code) == (8, 3) and members == set(words)
     primary, dual_side = base_params(code)
     assert (primary.n, primary.k_logical, primary.d_exact, primary.c,
             primary.q) == (7, 1, 3, 0, 2)

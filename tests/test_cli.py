@@ -4,24 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hullforge
 from hullforge import cli
-from hullforge.codes import HullReport, hull, make_code, min_distance, random_code
-from hullforge.diag import (DiagonalizationResult, HullNotMaximalError,
-                            diagonalize_maximal_hull, diagonalize_odd)
-from hullforge.eaqecc import (EaqeccRecord, ExtensionCertificate, base_params,
-                              extend_euclidean, extend_hermitian)
+from hullforge.codes import LinearCode, hull, min_distance, random_code
+from hullforge.diag import HullNotMaximalError
+from hullforge.eaqecc import base_params, extend_euclidean, extend_hermitian
 from hullforge.gf import make_field
 from hullforge.matfq import MatrixFq, row_space_equal
 
-F2 = make_field(2, 1)
-F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 
 # Every field with q <= 9, and GF(17^2), which has no tables.
@@ -51,10 +48,6 @@ def codes_and_forms(draw):
     spec = draw(st.sampled_from(ROUNDTRIP_FIELDS))
     forms = ("euclidean", "hermitian") if spec.subfield_order else ("euclidean",)
     return draw(codes(spec)), draw(st.sampled_from(forms))
-
-
-def roundtrip(to_json, obj):
-    return json.loads(cli.dumps(to_json(obj)))
 
 
 def run(capsys, *argv):
@@ -186,8 +179,8 @@ def test_eaqecc_base_json(capsys, fixtures_dir):
                      "--json")
     assert rc == 0
     env = json.loads(out)
-    rec = cli.from_json(EaqeccRecord, None, env["result"]["primary"])
-    assert (rec.n, rec.k_logical, rec.d_exact, rec.c, rec.q) == (7, 1, 3, 0, 2)
+    rec = env["result"]["primary"]
+    assert (rec["n"], rec["k_logical"], rec["d_exact"], rec["c"], rec["q"]) == (7, 1, 3, 0, 2)
     assert env["result"]["hull_dimension"] == 3
     assert env["tool_version"]
 
@@ -232,9 +225,9 @@ def test_verify_names_why_it_skipped(capsys, fixtures_dir, tmp_path):
 
 @pytest.mark.parametrize("name", ["hamming74", "ext635", "rand633"])
 def test_verify_walks_the_hull_once(capsys, monkeypatch, fixtures_dir, name):
-    """hull-vs-enumeration is the one check that builds the hull set;
+    """hull-vs-enumeration is the one check that counts the hull words;
     maximality-agreement reads each word's hull flag off its own walk,
-    so one verify builds the hull set once."""
+    so one verify calls the hull referee once."""
     calls = []
     walk = cli.oracle.hull_by_enumeration
 
@@ -354,40 +347,8 @@ def test_pair_mode(capsys, fixtures_dir):
 
 
 # ---------------------------------------------------------------
-# JSON round trips and determinism
+# JSON encoding and determinism
 # ---------------------------------------------------------------
-
-@PROPERTY
-@given(codes_and_forms())
-@example((make_code(F5, MatrixFq.identity(F5, 3)), "euclidean"))
-def test_hull_report_roundtrip(case):
-    c, form = case
-    rep = hull(c, form)
-    assert cli.from_json(HullReport, c.spec, roundtrip(cli.hull_report_json, rep)) == rep
-
-
-@PROPERTY
-@given(codes_and_forms())
-def test_diag_result_roundtrip(case):
-    c, form = case
-    if c.spec.p != 2:
-        res = diagonalize_odd(c, form)
-    else:
-        try:
-            res = diagonalize_maximal_hull(c, form)
-        except HullNotMaximalError:
-            return
-    assert cli.from_json(DiagonalizationResult, c.spec,
-                         roundtrip(cli.diag_result_json, res)) == res
-
-
-@PROPERTY
-@given(codes_and_forms(), st.sampled_from([1, 10 ** 4]))
-def test_record_roundtrip(case, budget):
-    c, form = case
-    for rec in base_params(c, form, budget):
-        assert cli.from_json(EaqeccRecord, c.spec, roundtrip(cli.record_json, rec)) == rec
-
 
 def _admits_extension(spec, form) -> bool:
     """Whether the field has a length extension under form."""
@@ -396,17 +357,18 @@ def _admits_extension(spec, form) -> bool:
     return spec.p != 2 and spec.q >= 5
 
 
-@PROPERTY
-@given(codes_and_forms(), st.integers(0, 6), st.sampled_from([1, 10 ** 4]))
-def test_certificate_roundtrip(case, r, budget):
-    c, form = case
-    spec = c.spec
-    if not _admits_extension(spec, form):
-        return
-    extend = extend_hermitian if form == "hermitian" else extend_euclidean
-    cert, _ = extend(c, min(r, c.k - hull(c, form).ell), budget)
-    assert cli.from_json(ExtensionCertificate, spec,
-                         roundtrip(cli.certificate_json, cert)) == cert
+def _by_type_rule(value):
+    """The JSON value of a result field, by the rule `to_json` states."""
+    if isinstance(value, LinearCode):
+        return {"n": value.n, "k": value.k, "gen": _by_type_rule(value.gen)}
+    if isinstance(value, MatrixFq):
+        return [list(r) for r in value.row_list()]
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, tuple):
+        return [_by_type_rule(v) for v in value]
+    assert value is None or type(value) in (int, str, bool), value
+    return value
 
 
 @pytest.mark.parametrize("spec,form", CORE_FIELD_FORMS,
@@ -414,10 +376,11 @@ def test_certificate_roundtrip(case, r, budget):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), r=st.integers(0, 6), budget=st.sampled_from([1, 10 ** 4]))
 def test_to_json_roundtrip(spec, form, data, r, budget):
-    """from_json reads back every result that to_json writes: the hull
-    report, the diagonalization of the field's route (where the
-    characteristic-2 route succeeds), both base records and, where the
-    field admits one, an extension certificate."""
+    """to_json writes every field of each result, and nothing else, by
+    its type, and the text `dumps` makes of it reads back as the same
+    JSON: the hull report, the diagonalization of the field's route
+    (where the characteristic-2 route succeeds), both base records and,
+    where the field admits one, an extension certificate."""
     c = data.draw(codes(spec))
     rep = hull(c, form)
     results = [rep, *base_params(c, form, budget)]
@@ -429,7 +392,14 @@ def test_to_json_roundtrip(spec, form, data, r, budget):
         extend = extend_hermitian if form == "hermitian" else extend_euclidean
         results.append(extend(c, min(r, c.k - rep.ell), budget)[0])
     for x in results:
-        assert cli.from_json(type(x), spec, roundtrip(cli.to_json, x)) == x
+        obj = cli.to_json(x)
+        names = [f.name for f in dataclasses.fields(x)]
+        assert sorted(obj) == sorted(names)
+        expected = {name: _by_type_rule(getattr(x, name)) for name in names}
+        assert obj == expected
+        text = cli.dumps(obj)
+        assert text == cli.dumps(expected)     # true and false, not 1 and 0
+        assert json.loads(text) == obj
 
 
 def test_to_json_of_a_code_is_only_its_generator():
@@ -439,78 +409,6 @@ def test_to_json_of_a_code_is_only_its_generator():
     min_distance(c)
     assert c._facts
     assert sorted(cli.to_json(c)) == ["gen", "k", "n"]
-
-
-@pytest.mark.parametrize("obj", [{"n": 7, "k": 1, "gen": [[1, 1]]},
-                                 {"n": 2, "k": 5, "gen": [[1, 1]]},
-                                 {"n": 7, "k": 5, "gen": [[1, 1]]},
-                                 {"n": 2, "k": 2, "gen": [[1, 1], [1, 1]]}])
-def test_from_json_refuses_a_code_that_disagrees_with_its_generator(obj):
-    """n is the length of every generator row and k its rank."""
-    with pytest.raises(ValueError):
-        cli._code_from_json(F2, obj)
-    report = {"form": "euclidean", "hull": obj, "ell": 1, "gramian_rank_g": 0,
-              "gramian_rank_h": 0, "consistent": True}
-    with pytest.raises(ValueError):
-        cli.from_json(HullReport, F2, report)
-
-
-DIAG_2x3 = {"code": {"n": 3, "k": 2, "gen": [[1, 0, 0], [0, 1, 0]]},
-            "new_gen": [[1, 0, 0], [0, 1, 0]], "diagonal": [1, 1],
-            "nonzero_count": 2, "method": "odd-induction"}
-
-
-@pytest.mark.parametrize("part,bad", [
-    ("new_gen", [[1], [2]]),              # k x 1, not k x n
-    ("new_gen", [[1, 0, 0]]),             # 1 x n, not k x n
-    ("diagonal", [5, 7]),                 # outside GF(3)
-    ("diagonal", [1, 1, 0]),              # n entries, not k
-    ("nonzero_count", 4),                 # longer than the diagonal
-    ("nonzero_count", 1),                 # a nonzero entry after the prefix
-    ("nonzero_count", -1)])
-def test_from_json_refuses_a_diagonalization_that_disagrees_with_its_code(part, bad):
-    obj = {**DIAG_2x3, part: bad}
-    with pytest.raises(ValueError, match=part):
-        cli.from_json(DiagonalizationResult, F3, obj)
-
-
-def test_from_json_refuses_a_diagonal_with_a_gap_in_its_nonzero_prefix():
-    obj = {**DIAG_2x3, "diagonal": [0, 1], "nonzero_count": 1}
-    with pytest.raises(ValueError, match="nonzero_count"):
-        cli.from_json(DiagonalizationResult, F3, obj)
-    ok = {**DIAG_2x3, "diagonal": [2, 0], "nonzero_count": 1}
-    assert cli.from_json(DiagonalizationResult, F3, ok).nonzero_count == 1
-
-
-def test_from_json_refuses_every_part_of_a_diagonalization_at_once():
-    """A [3,1] code over GF(3) with a 2 x 1 generator, a diagonal of n
-    entries outside the field and a nonzero_count beyond k."""
-    obj = {"code": {"n": 3, "k": 1, "gen": [[1, 0, 0]]}, "new_gen": [[1], [2]],
-           "diagonal": [5, 7, 9], "nonzero_count": 4, "method": "odd-induction"}
-    with pytest.raises(ValueError):
-        cli.from_json(DiagonalizationResult, F3, obj)
-
-
-CERT_6_TO_8 = {"original": {"n": 6, "k": 3, "gen": [[1, 0, 0, 4, 0, 0], [0, 1, 0, 2, 0, 2],
-                                                     [0, 0, 1, 1, 0, 4]]},
-               "extended": {"n": 8, "k": 3, "gen": [[1, 0, 0, 4, 3, 1, 0, 0],
-                                                     [0, 1, 0, 1, 3, 0, 0, 4],
-                                                     [0, 0, 1, 3, 1, 1, 0, 0]]},
-               "alphas": [1, 1], "x_rows": [[1, 0, 0, 4, 0, 0], [1, 1, 0, 1, 0, 2]],
-               "hull_preserved": True, "d_prime": 3}
-
-
-@pytest.mark.parametrize("part,bad", [
-    ("alphas", [0, 9]),                   # a zero alpha and one outside GF(5)
-    ("alphas", [0, 1]),                   # a zero alpha
-    ("alphas", [1]),                      # one alpha for two added columns
-    ("x_rows", [[7, 7]]),                 # one short row outside GF(5)
-    ("x_rows", [[1, 0, 0, 4, 0, 0]]),     # one row for two added columns
-    ("x_rows", [[1, 0, 0, 4, 0], [1, 1, 0, 1, 0]]),   # rows shorter than n
-    ("x_rows", [[1, 0, 0, 4, 0, 5], [1, 1, 0, 1, 0, 2]])])  # 5 is outside GF(5)
-def test_from_json_refuses_a_certificate_that_disagrees_with_its_codes(part, bad):
-    with pytest.raises(ValueError, match=part):
-        cli.from_json(ExtensionCertificate, F5, {**CERT_6_TO_8, part: bad})
 
 
 def test_main_answers_alike_after_a_usage_error_and_a_refusal(capsys, fixtures_dir, tmp_path):

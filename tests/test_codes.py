@@ -287,6 +287,22 @@ def test_walk_without_tables_against_oracle(spec):
     assert min_distance(c) == oracle.min_distance_by_enumeration(c)
 
 
+@pytest.mark.parametrize("spec", FIELDS, ids=repr)
+def test_min_distance_against_the_oracle(spec):
+    """The distance walk of `codes` against the naive product walk of
+    the oracle on every kind of field, with q^k <= 2000; GF(251^2) has
+    no such k, so it runs k = 1, 63001 words, once."""
+    kmax = max([1] + [k for k in range(1, 11) if spec.q ** k <= 2000])
+
+    @settings(max_examples=25 if spec.q <= 2000 else 1, deadline=None)
+    @given(k=st.integers(1, kmax), extra=st.integers(0, 3), seed=st.integers(0, 2 ** 30))
+    def check(k, extra, seed):
+        c = random_code(spec, k + extra, k, seed)
+        assert min_distance(c) == oracle.min_distance_by_enumeration(c)
+
+    check()
+
+
 def test_min_distance_refuses_on_every_call_after_its_walk(hamming):
     """The distance is kept on the code, but each call checks its own budget."""
     assert min_distance(hamming, budget=16) == 3

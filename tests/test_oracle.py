@@ -127,25 +127,51 @@ def test_maximality_keeps_no_hull_set():
     assert maximal is True
 
 
+def test_hull_by_enumeration_keeps_no_hull_set():
+    """The hull referee streams the hull words: on the 3^8 = 6561 hull
+    words of a self-dual [16,8]_3 code a hull set peaks near 1.6 MiB,
+    the stream under 0.25 MiB."""
+    c = tetracodes(4)
+    tracemalloc.start()
+    try:
+        count, ell = oracle.hull_by_enumeration(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+    assert (count, ell) == (3 ** 8, 8)
+
+
 def test_subspace_dimension_checks_closure():
-    members = {(0, 0, 0), (1, 0, 0), (0, 1, 0)}
+    words = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     with pytest.raises(RuntimeError):
-        oracle._subspace_dimension(F2, members, 3)
-    assert oracle._subspace_dimension(F2, members | {(1, 1, 0)}, 3) == 2
+        oracle._subspace_dimension(F2, iter(words), 3)
+    closed = words + [(1, 1, 0)]
+    assert oracle._subspace_dimension(F2, iter(closed), 3) == (4, 2)
+    # Four words fill the span of two, but the zero word twice means
+    # (1, 1, 0) is missing: the stream is not the span.
+    with pytest.raises(RuntimeError):
+        oracle._subspace_dimension(F2, iter(words + [(0, 0, 0)]), 3)
+
+
+def hull_words(c, form="euclidean"):
+    """The hull of c as a set of words, off the referee's walk."""
+    return {tuple(w) for w, in_hull in oracle._hull_walk(c, form) if in_hull}
 
 
 def test_hull_by_enumeration_pinned(fixtures_dir):
     sd = code(F2, [[1, 1]])
-    members, ell = oracle.hull_by_enumeration(sd)
-    assert ell == 1 and members == {(0, 0), (1, 1)}
+    assert oracle.hull_by_enumeration(sd) == (2, 1)
+    assert hull_words(sd) == {(0, 0), (1, 1)}
 
-    members, ell = oracle.hull_by_enumeration(code(F2, [[1, 1, 1]]))
-    assert ell == 0 and members == {(0, 0, 0)}
+    rep3 = code(F2, [[1, 1, 1]])
+    assert oracle.hull_by_enumeration(rep3) == (1, 0)
+    assert hull_words(rep3) == {(0, 0, 0)}
 
     ham = code(F2, [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1],
                     [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]])
-    members, ell = oracle.hull_by_enumeration(ham)
-    assert ell == 3 and len(members) == 8
+    assert oracle.hull_by_enumeration(ham) == (8, 3)
+    members = hull_words(ham)
     golden = (fixtures_dir / "golden" / "hamming74.hull.euclidean.golden").read_text()
     rows = [tuple(int(t) for t in line.split())
             for line in golden.splitlines()
@@ -185,14 +211,15 @@ def test_maximal_so_cross_validation():
 def test_oracle_hull_size_is_power(fixtures_dir):
     for seed in range(8):
         c = random_code(F3, 6, 3, seed)
-        members, ell = oracle.hull_by_enumeration(c)
-        assert len(members) == 3 ** ell
+        count, ell = oracle.hull_by_enumeration(c)
+        assert len(hull_words(c)) == count == 3 ** ell
 
 
 def test_hermitian_hull_golden(fixtures_dir):
     f4 = make_field(2, 2)
     c = random_code(f4, 4, 2, 4)       # the committed herm42gf4 fixture
-    members, ell = oracle.hull_by_enumeration(c, "hermitian")
+    ell = oracle.hull_by_enumeration(c, "hermitian")[1]
+    members = hull_words(c, "hermitian")
     golden = (fixtures_dir / "golden" / "herm42gf4.hull.hermitian.golden").read_text()
     lines = [line for line in golden.splitlines()
              if line and not line.startswith("#")]

@@ -11,7 +11,7 @@ from .codes import (DEFAULT_BUDGET, BudgetExceeded, HullReport, LinearCode,
                     is_lcd, is_self_orthogonal, make_code, min_distance,
                     random_code, random_invertible)
 from .diag import (DiagonalizationResult, HullNotMaximalError, NotLcdError,
-                   diagonalize_maximal_hull, diagonalize_odd, find_anisotropic,
+                   diagonalize_maximal_hull, diagonalize_odd,
                    orthogonal_basis_lcd, pair_diagonal_generators)
 from .eaqecc import (EaqeccRecord, ExtensionCertificate,
                      ExtensionVerificationError, RateReport, base_params,
@@ -25,7 +25,7 @@ __all__ = [
     "is_lcd", "is_self_orthogonal", "make_code", "min_distance",
     "random_code", "random_invertible",
     "DiagonalizationResult", "HullNotMaximalError", "NotLcdError",
-    "diagonalize_maximal_hull", "diagonalize_odd", "find_anisotropic",
+    "diagonalize_maximal_hull", "diagonalize_odd",
     "orthogonal_basis_lcd", "pair_diagonal_generators",
     "EaqeccRecord", "ExtensionCertificate", "ExtensionVerificationError",
     "RateReport", "base_params", "extend_euclidean", "extend_hermitian",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 from dataclasses import fields, is_dataclass
@@ -25,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__, oracle
-from .codes import (BudgetExceeded, LinearCode, dual, hull,
+from .codes import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, dual, hull,
                     is_hull_maximal_so_in, make_code, min_distance,
                     random_invertible, resolve_budget)
 from .diag import (DiagonalizationResult, HullNotMaximalError, NotLcdError,
@@ -35,8 +34,6 @@ from .eaqecc import (EaqeccRecord, ExtensionVerificationError, base_params,
                      extend_euclidean, extend_hermitian)
 from .gf import FieldSpec, make_field, modulus_str
 from .matfq import MatrixFq, row_space_equal, vstack
-
-BUDGET_ENV = "HULLFORGE_BUDGET"
 
 
 class CodeFileError(ValueError):
@@ -182,18 +179,6 @@ def _load(args):
     return parse_code_file(text), digest
 
 
-def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return resolve_budget(args.budget)
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return resolve_budget(int(env))
-        except ValueError:
-            raise CodeFileError(f"bad {BUDGET_ENV} value {env!r}") from None
-    return resolve_budget(None)
-
-
 def _emit(args, spec, digest, payload, human_lines):
     if args.json:
         sys.stdout.write(dumps(envelope(args.command_line, spec, digest, payload)))
@@ -277,7 +262,7 @@ def cmd_diag(args):
 
 def cmd_mindist(args):
     code, digest = _load(args)
-    d = min_distance(code, _budget(args))
+    d = min_distance(code, resolve_budget(args.budget))
     payload = {"n": code.n, "k": code.k, "d": d}
     lines = [f"code: [{code.n},{code.k}] over GF({code.spec.q})",
              f"minimum distance: {d}"]
@@ -292,7 +277,7 @@ def _record_lines(rec: EaqeccRecord):
 
 def cmd_eaqecc_base(args):
     code, digest = _load(args)
-    budget = _budget(args)
+    budget = resolve_budget(args.budget)
     primary, secondary = base_params(code, args.form, budget)
     ell = code.k - primary.k_logical
     payload = {"hull_dimension": ell,
@@ -306,7 +291,7 @@ def cmd_eaqecc_base(args):
 
 def cmd_eaqecc_extend(args):
     code, digest = _load(args)
-    budget = _budget(args)
+    budget = resolve_budget(args.budget)
     if args.form == "hermitian":
         cert, record = extend_hermitian(code, args.r, budget)
     else:
@@ -400,7 +385,7 @@ def _diagonal_certificate(code, form, g1, g2, diagonal, ell) -> bool:
 
 def cmd_verify(args):
     code, digest = _load(args)
-    checks = _verify_checks(code, args.form, _budget(args), args.seed)
+    checks = _verify_checks(code, args.form, resolve_budget(args.budget), args.seed)
     status = {True: "pass", False: "FAIL"}
     lines = []
     entries = []
@@ -435,7 +420,7 @@ def _add_common(sp, form=True, budget=True):
                         default="euclidean")
     if budget:
         sp.add_argument("--budget", type=int, default=None,
-                        help=f"enumeration cap (default {BUDGET_ENV} or built-in)")
+                        help=f"enumeration cap (default {DEFAULT_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -328,32 +328,23 @@ def _full_rank(spec: FieldSpec, rows: int, cols: int, rng: random.Random) -> Mat
 def _iter_codewords(spec: FieldSpec, rows):
     """Yield every codeword of the span of rows exactly once.
 
-    Messages run in ascending base-q order (first row most significant).
-    The yielded list is a reused internal buffer: read it, never keep it.
-    Each step adds the one message-digit change to the buffer with the
-    core's `add_into`, so the amortized cost per codeword is O(n).  The
-    step rows come from the core's `scale`: moving row r's digit from v
-    to v+1 adds (v+1 - v) row_r, and wrapping it from q-1 to 0 adds
-    -(q-1) row_r.
+    The walk is a modular p-ary Gray code over the GF(p)-basis
+    x^s g_t (s < m) of the span, its k m rows built once with the core's
+    `scale` (the code p^s is x^s).  Step i adds basis row v_p(i), the
+    number of trailing zero base-p digits of i, with one `add_into`: it
+    adds 1 to one GF(p) coordinate of the message, so the q^k messages
+    come once each, zero first, in Gray order.  The yielded list is a
+    reused internal buffer: read it, never keep it.
     """
-    k, n, q = len(rows), len(rows[0]), spec.q
-    core = spec._core
-    scale, add_into = core.scale, core.add_into
-    packed = [core.pack(row) for row in rows]
-    steps = [spec.sub(v + 1, v) for v in range(q - 1)]
-    delta = [[scale(s, row) for s in steps] for row in packed]
-    wrap = spec.neg(q - 1)
-    roll = [scale(wrap, row) for row in packed]
-
-    c = [0] * n
+    p, core = spec.p, spec._core
+    add_into = core.add_into
+    basis = [core.scale(p ** s, core.pack(row)) for row in rows for s in range(spec.m)]
+    c = [0] * len(rows[0])
     yield c
-    digits = [0] * k                  # digits[j] drives row k-1-j
-    for _ in range(q ** k - 1):
-        j = 0
-        while digits[j] == q - 1:
-            digits[j] = 0
-            add_into(c, roll[k - 1 - j])
-            j += 1
-        add_into(c, delta[k - 1 - j][digits[j]])
-        digits[j] += 1
+    for i in range(1, p ** len(basis)):
+        t = 0
+        while not i % p:
+            i //= p
+            t += 1
+        add_into(c, basis[t])
         yield c

@@ -14,14 +14,14 @@ is diagonal with all nonzero entries first:
 * ``pair_diagonal_generators`` - always available; relaxes the problem
   to two generator matrices G1, G2 of the code with G1 G2^T diagonal.
 
-The first two routes, and `find_anisotropic`, share one engine that
-never touches a row of length n: it works on coefficient rows e over
-G, each carried with eS, S the Gramian of G computed once per code and
-form, so that <eG, fG> = <eS, f>; it forms E @ G once at the end.  The
+The first two routes share one engine that never touches a row of
+length n: it works on coefficient rows e over G, each carried with eS,
+S the Gramian of G computed once per code and form, so that
+<eG, fG> = <eS, f>; it forms E @ G once at the end.  The
 hull, {xG : xS = 0}, and its maximality are read off the same S, and
 the code keeps the generator and diagonal of `diagonalize_odd`, so
-`find_anisotropic`, `orthogonal_basis_lcd` and the EAQECC extensions
-reuse one run of it (see `codes`).
+`orthogonal_basis_lcd` and the EAQECC extensions reuse one run of it
+(see `codes`).
 
 Dual-side variants are obtained by applying the same operations to the
 dual code rather than through separate code paths.
@@ -129,27 +129,18 @@ def _diagonal_generator(c: LinearCode, coefficients, diagonal):
     return new_gen, tuple(diagonal) + zeros, len(diagonal)
 
 
-def find_anisotropic(c: LinearCode, form: str = "euclidean"):
-    """A codeword v with <v, v> != 0, or None when C is self-orthogonal.
-
-    Deterministic: scans generator rows by index, then row pairs
-    lexicographically, combining an isotropic pair u, w with nonzero
-    cross product into u + w (euclidean) or u + <u, w>_H w (hermitian),
-    either of which is anisotropic in odd characteristic.  This is the
-    first pivot of `diagonalize_odd`, whose first row it returns.
-    """
-    res = diagonalize_odd(c, form)
-    return res.new_gen.row(0) if res.nonzero_count else None
-
-
 def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationResult:
     """Diagonal-Gramian generator matrix over odd characteristic.
 
-    Repeatedly takes an anisotropic v (`find_anisotropic`'s rule on the
-    working rows), records <v, v> on the diagonal, and replaces the
-    working rows with their projections onto {w : <w, v> = 0}, less the
-    one that became dependent; the loop ends when the residue is
-    self-orthogonal, contributing the zero tail of the diagonal.
+    Repeatedly takes an anisotropic v, records <v, v> on the diagonal,
+    and replaces the working rows with their projections onto
+    {w : <w, v> = 0}, less the one that became dependent; the loop ends
+    when the residue is self-orthogonal, contributing the zero tail of
+    the diagonal.  The first anisotropic v is the first generator row
+    of nonzero self-product or, failing that, the first isotropic pair
+    u, w with nonzero cross product, combined into u + w (euclidean) or
+    u + <u, w>_H w (hermitian), either of which is anisotropic in odd
+    characteristic; it is row 0 of the new generator.
     """
     check_form(c.spec, form)
     if c.spec.p == 2:

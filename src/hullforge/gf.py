@@ -128,8 +128,11 @@ Python-level call per entry:
 `add_into` is the step of the codeword walks in `codes` and `oracle`,
 which change a few entries of one buffer per codeword: `_Tables` indexes
 its ``add_table`` once per nonzero entry, and the other two cores call
-their `add`.  Square roots take Euler's criterion and Tonelli-Shanks in
-odd characteristic, and a^(q/2) in characteristic 2, on every field.
+their `add`.  The distance walk of `codes` makes one `add_into` per
+codeword, of a row of the code's GF(p)-basis, which it builds with
+`scale`, one call per basis row.  Square roots take Euler's criterion
+and Tonelli-Shanks in odd characteristic, and a^(q/2) in
+characteristic 2, on every field.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -275,16 +276,50 @@ def test_min_distance_pinned(hamming):
     assert min_distance(hamming) == 3
 
 
-@pytest.mark.parametrize("spec", [make_field(257, 1), make_field(17, 2)], ids=repr)
+def assert_walk_matches_oracle(c):
+    """The Gray walk starts at the zero word and visits the same words
+    as the oracle's ascending product walk, each once."""
+    words = [tuple(w) for w in _iter_codewords(c.spec, c.gen.row_list())]
+    assert words[0] == (0,) * c.n
+    assert sorted(words) == sorted(oracle.enumerate_codewords(c))
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=repr)
 def test_walk_without_tables_against_oracle(spec):
-    """The walk on the integers mod p and on the lanes core, which step
-    with the core's `add`: with k = 2 the last digit wraps, so the roll
-    rows run too.  Both walks visit the messages in the same order, which
-    also catches a wrong roll row that only permutes the words."""
-    c = random_code(spec, 3, 2, 0)
-    words = [tuple(w) for w in _iter_codewords(spec, c.gen.row_list())]
-    assert words == list(oracle.enumerate_codewords(c))
+    """The walk on every field, with k = 2 where q^2 <= 20000 and k = 1
+    elsewhere; GF(257) and GF(17^2) keep the k = 2 they were first
+    tested with, so the mod-p and lane cores walk more than one row."""
+    k = 2 if spec.q ** 2 <= 20_000 or spec.q in (257, 289) else 1
+    c = random_code(spec, 3, k, 0)
+    assert_walk_matches_oracle(c)
     assert min_distance(c) == oracle.min_distance_by_enumeration(c)
+
+
+@pytest.mark.parametrize("c", [
+    random_code(make_field(2, 16), 2, 1, 0),          # 65536 words, m = 16
+    code(F5, [[3]]),                                   # length 1
+    random_code(F2, 70, 3, 0),                         # rows longer than 64 entries
+    random_code(make_field(2, 3), 5, 2, 0),            # GF(8), m = 3
+    random_code(F9, 5, 2, 0),                          # GF(9), m = 2
+], ids=["gf65536-k1", "n1", "gf2-n70", "gf8", "gf9"])
+def test_walk_edge_cases_against_oracle(c):
+    assert_walk_matches_oracle(c)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=repr)
+def test_walk_makes_one_step_per_word(spec, monkeypatch):
+    """One `add_into` per nonzero codeword, and one `scale` per row of
+    the GF(p)-basis, k m of them, whatever q is."""
+    c = random_code(spec, 6, 3, 0)
+    core = spec._core
+    calls = Counter()
+    for name in ("add_into", "scale"):
+        def counted(*args, op=getattr(core, name), name=name):
+            calls[name] += 1
+            return op(*args)
+        monkeypatch.setattr(core, name, counted)
+    assert sum(1 for _ in _iter_codewords(spec, c.gen.row_list())) == spec.q ** 3
+    assert calls == {"add_into": spec.q ** 3 - 1, "scale": 3 * spec.m}
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=repr)

@@ -9,8 +9,7 @@ from hullforge.codes import (hull, is_hull_maximal_so_in, is_lcd, make_code,
                              random_code)
 from hullforge.diag import (HullNotMaximalError, NotLcdError,
                             diagonalize_maximal_hull, diagonalize_odd,
-                            find_anisotropic, orthogonal_basis_lcd,
-                            pair_diagonal_generators)
+                            orthogonal_basis_lcd, pair_diagonal_generators)
 from hullforge.gf import make_field
 from hullforge.matfq import MatrixFq, dot, row_space_equal
 
@@ -40,22 +39,22 @@ def assert_diagonal_result(res, form):
 
 
 # ---------------------------------------------------------------
-# anisotropic search
+# the first anisotropic pivot of diagonalize_odd
 # ---------------------------------------------------------------
 
 def test_anisotropic_absent_for_self_orthogonal():
-    assert find_anisotropic(code(F3, [[1, 1, 1]])) is None
+    assert diagonalize_odd(code(F3, [[1, 1, 1]])).nonzero_count == 0
 
 
 def test_anisotropic_single_row_hit():
-    assert find_anisotropic(code(F3, [[1, 0], [0, 1]])) == (1, 0)
+    assert diagonalize_odd(code(F3, [[1, 0], [0, 1]])).new_gen.row(0) == (1, 0)
 
 
 def test_anisotropic_pair_combination_euclidean():
     # both canonical rows are isotropic, the pair is not
     c = code(F5, [[1, 0, 0, 2], [0, 1, 0, 2]])
     assert c.gen.row_list() == [(1, 0, 0, 2), (0, 1, 0, 2)]
-    v = find_anisotropic(c)
+    v = diagonalize_odd(c).new_gen.row(0)
     assert v == (1, 1, 0, 4)
     assert dot(F5, v, v) == 3  # = 2 <r1, r2>
 
@@ -66,7 +65,7 @@ def test_anisotropic_pair_combination_hermitian():
     assert dot(F9, r1, r1, "hermitian") == 0
     assert dot(F9, r2, r2, "hermitian") == 0
     t = dot(F9, r1, r2, "hermitian")
-    v = find_anisotropic(c, "hermitian")
+    v = diagonalize_odd(c, "hermitian").new_gen.row(0)
     assert v == tuple(F9.add(x, F9.mul(t, y)) for x, y in zip(r1, r2))
     expected = F9.mul(2, F9.mul(F9.conjugate(t), t))
     assert dot(F9, v, v, "hermitian") == expected != 0
@@ -74,7 +73,7 @@ def test_anisotropic_pair_combination_hermitian():
 
 def test_anisotropic_refuses_even_characteristic():
     with pytest.raises(ValueError):
-        find_anisotropic(code(F2, [[1, 1]]))
+        diagonalize_odd(code(F2, [[1, 1]]))
 
 
 # ---------------------------------------------------------------
@@ -339,7 +338,7 @@ def test_diagonalize_odd_property(case, shape, seed):
     if shape == "k=n":
         assert res.nonzero_count == c.k
     if shape == "pair":
-        v = find_anisotropic(c, form)
+        v = res.new_gen.row(0)
         rows = c.gen.row_list()
         assert all(not dot(spec, r, r, form) for r in rows)
         assert v not in rows and dot(spec, v, v, form)

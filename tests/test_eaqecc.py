@@ -19,8 +19,7 @@ from hullforge.codes import (BudgetExceeded, hull,
                              min_distance, random_code)
 from hullforge.diag import (HullNotMaximalError, NotLcdError,
                             diagonalize_maximal_hull, diagonalize_odd,
-                            find_anisotropic, orthogonal_basis_lcd,
-                            pair_diagonal_generators)
+                            orthogonal_basis_lcd, pair_diagonal_generators)
 from hullforge.eaqecc import (EaqeccRecord, ExtensionVerificationError,
                               base_params, extend_euclidean, extend_hermitian,
                               rate_report)
@@ -413,7 +412,7 @@ def ask_everything(c, form, order=1):
              pair_diagonal_generators,
              lambda c, form: base_params(c, form, budget=200)]
     if c.spec.p != 2:
-        calls += [diagonalize_odd, find_anisotropic, orthogonal_basis_lcd]
+        calls += [diagonalize_odd, orthogonal_basis_lcd]
     answers = {}
     for i, fn in list(enumerate(calls))[::order]:
         try:

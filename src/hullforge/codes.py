@@ -18,15 +18,19 @@ n, and the hull path forms no kernel of G.
 Every hull fact of a code is a fact of S, so a LinearCode keeps, per
 form and from first use, S itself, rank S, the hull's coefficient rows
 and `diag.diagonalize_odd`'s generator and diagonal: asking a code
-several questions forms S once.  rank S comes from `S.rank` when it is
-asked for before the hull; once `hull` has found the hull's rows, it
-is read off them as k - ell and S is not ranked again.  (The acceptance
-test of the Gramian rank law, `test_criterion_01_gramian_rank_law`,
-ranks S on its own.)  A code also keeps its exact minimum distance,
-under no form, from the first `min_distance` call that the budget
-admits; the budget is checked on every call.  The kept facts are
-matrices, ints and tuples, never objects that point back at the code,
-and they take no part in equality, hashing or repr.
+several questions forms S once.  The hull's rows come from one
+Gauss-Jordan elimination of S^T, and the code keeps its pivot columns
+with them: they index the greedy complement of the hull, which
+`diag.diagonalize_maximal_hull` reads, so S is reduced once per form.
+rank S comes from `S.rank` when it is asked for before the hull; once
+`hull` has found the hull's rows, it is the number of those pivots and
+S is not ranked again.  (The acceptance test of the Gramian rank law,
+`test_criterion_01_gramian_rank_law`, ranks S on its own.)  A code
+also keeps its exact minimum distance, under no form, from the first
+`min_distance` call that the budget admits; the budget is checked on
+every call.  The kept facts are matrices, ints and tuples, never
+objects that point back at the code, and they take no part in
+equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 
 from .gf import FieldSpec
-from .matfq import MatrixFq, _matrix, _stack, check_form
+from .matfq import MatrixFq, _kernel, _matrix, _stack, check_form
 
 # Cap on q^k for any codeword enumeration; shared by the brute-force
 # reference module.
@@ -181,20 +185,28 @@ def _gramian_rank(c: LinearCode, form: str) -> int:
     return _fact(c, "rank", form, lambda: _gramian(c, form).rank)
 
 
-def _hull_rows(c: LinearCode, form: str) -> MatrixFq:
-    """The hull's coefficient rows over G, in rref: the x with xS = 0.
-    Their number is the hull dimension, so rank S is stored with them."""
+def _hull_rows(c: LinearCode, form: str):
+    """(X, complement) from one Gauss-Jordan elimination of S^T.
+
+    X is the hull's coefficient rows over G, in rref: the kernel of S^T,
+    the x with xS = 0.  complement is the elimination's pivot columns:
+    the indices of the rows of S independent of the rows of S before
+    them, which are the generator rows independent of the hull and of
+    the rows before them, since xS = 0 exactly on the hull's x.  So
+    they index the greedy complement of the hull, and their number is
+    rank S, which is stored with them.
+    """
     def compute():
-        x = _gramian(c, form).transpose().kernel().rref()[0]
-        c._facts.setdefault(("rank", form), c.k - x.rows)
-        return x
+        r, pivots, rank = _gramian(c, form).transpose().rref()
+        c._facts.setdefault(("rank", form), rank)
+        return _kernel(r, pivots).rref()[0], pivots
     return _fact(c, "hull_rows", form, compute)
 
 
 def hull(c: LinearCode, form: str = "euclidean") -> HullReport:
     """The hull C intersect dual(C), read off the Gramian S: {xG : xS = 0}."""
     check_form(c.spec, form)
-    x = _hull_rows(c, form)
+    x = _hull_rows(c, form)[0]
     ell = x.rows
     # G is in rref, so X @ G is too: the hull's canonical generator.
     hull_code = LinearCode(c.spec, c.n, ell, x @ c.gen) if ell else None

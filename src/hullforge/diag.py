@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import LinearCode, _fact, _gramian, _hull_rows, _is_maximal
+from .codes import LinearCode, _fact, _gramian, _gramian_rank, _hull_rows, _is_maximal
 # hull and dot have no use here, but bench/test_bench.py reads them as
 # diag.hull and diag.dot.
 from .codes import hull  # noqa: F401
@@ -66,23 +66,29 @@ class DiagonalizationResult:
     method: str
 
 
-def _congruence(c: LinearCode, form: str, indices, pairs: bool):
-    """The engine of `diagonalize_odd` and `diagonalize_maximal_hull`.
+def _congruence(c: LinearCode, form: str, indices):
+    """The engine of `diagonalize_odd` and `diagonalize_maximal_hull`:
+    the paper's induction on the generator rows with the given indices.
 
-    Works on the coefficient rows of the generator rows with the given
-    indices: a row e stands for the codeword eG and is carried with its
-    image eS, S the Gramian of G under the form, so <eG, fG> is the
-    inner product of eS and f.  Each step takes as pivot v the first row
-    of nonzero self-product or, failing that and when pairs is true, the
-    first pair i < j of nonzero cross product t, combined as r_i + r_j
-    (euclidean) or r_i + t r_j (hermitian), both anisotropic in odd
-    characteristic.  It records v and <v, v>, projects the other rows
-    onto the orthogonal complement of v and drops the row that became
-    dependent, the pivot row or row j of a pair, so the rows stay
-    independent with no span tracking.
+    A row e stands for the codeword eG and is carried with its image eS,
+    S the Gramian of G under the form, so <eG, fG> is the inner product
+    of eS and f.  Each step takes as pivot v the first row of nonzero
+    self-product or, in odd characteristic, the first pair i < j of
+    nonzero cross product t, combined as r_i + r_j (euclidean) or
+    r_i + t r_j (hermitian), which is anisotropic there.  It records v
+    and <v, v>, projects the other rows onto the orthogonal complement
+    of v and drops the row that became dependent, the pivot row or row
+    j of a pair, so the rows stay independent with no span tracking.
 
-    Returns (E, diagonal): the pivots followed by the rows left when no
-    pivot is found, and the self-products of the pivots.
+    Every row left is orthogonal to the pivots, so once none is
+    anisotropic, some pair has a nonzero product exactly when some image
+    eS is nonzero.  The induction stops when every image is zero, the
+    base case: those rows are orthogonal to the whole code.  In
+    characteristic 2, which has no pair step, it stops at the first step
+    with no anisotropic row.
+
+    Returns (E, diagonal): the pivots followed by the rows left, and the
+    self-products of the pivots.
     """
     spec = c.spec
     core = spec._core
@@ -97,12 +103,12 @@ def _congruence(c: LinearCode, form: str, indices, pairs: bool):
         dependent = next((i for i, (e, image) in enumerate(rows) if inner(image, e)), None)
         if dependent is not None:
             v, v_image = rows[dependent]
+        elif spec.p == 2 or not any(any(image) for _, image in rows):
+            break
         else:
-            pair = next(((i, j, t) for i in range(len(rows)) for j in range(i + 1, len(rows))
-                         if (t := inner(rows[i][1], rows[j][0]))), None) if pairs else None
-            if pair is None:
-                break
-            i, dependent, t = pair
+            m = len(rows)
+            i, dependent, t = next((i, j, t) for i in range(m) for j in range(i + 1, m)
+                                   if (t := inner(rows[i][1], rows[j][0])))
             s = 1 if form == "euclidean" else t
             (e, image), (f, f_image) = rows[i], rows[dependent]
             v, v_image = axpy(e, s, f), axpy(image, s, f_image)
@@ -135,12 +141,13 @@ def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationRe
     Repeatedly takes an anisotropic v, records <v, v> on the diagonal,
     and replaces the working rows with their projections onto
     {w : <w, v> = 0}, less the one that became dependent; the loop ends
-    when the residue is self-orthogonal, contributing the zero tail of
-    the diagonal.  The first anisotropic v is the first generator row
-    of nonzero self-product or, failing that, the first isotropic pair
-    u, w with nonzero cross product, combined into u + w (euclidean) or
-    u + <u, w>_H w (hermitian), either of which is anisotropic in odd
-    characteristic; it is row 0 of the new generator.
+    when every row left is orthogonal to the whole code: those rows span
+    the hull and contribute the zero tail of the diagonal.  The first
+    anisotropic v is the first generator row of nonzero self-product
+    or, failing that, the first isotropic pair u, w with nonzero cross
+    product, combined into u + w (euclidean) or u + <u, w>_H w
+    (hermitian), either of which is anisotropic in odd characteristic;
+    it is row 0 of the new generator.
     """
     check_form(c.spec, form)
     if c.spec.p == 2:
@@ -148,7 +155,7 @@ def diagonalize_odd(c: LinearCode, form: str = "euclidean") -> DiagonalizationRe
                          "2 = 0 would break it")
 
     def compute():
-        rows, diagonal = _congruence(c, form, range(c.k), True)
+        rows, diagonal = _congruence(c, form, range(c.k))
         return _diagonal_generator(c, rows, diagonal)
     # The result itself is not kept: its `code` field would make a cycle.
     return DiagonalizationResult(c, *_fact(c, "odd", form, compute), "odd-induction")
@@ -175,24 +182,26 @@ def diagonalize_maximal_hull(c: LinearCode, form: str = "euclidean") -> Diagonal
     defined.  The complement is the greedy one: the generator rows, in
     order, that are independent of the hull and of the rows taken before
     them.  This is the route available in characteristic 2.
+
+    Maximality is decided from rank S alone, so a refusal forms no hull
+    rows.  The complement and the hull rows are the two halves of the
+    one elimination of S^T that `hull` keeps, so this route runs no
+    elimination of its own once the hull is known.
     """
     check_form(c.spec, form)
-    gram = _gramian(c, form)
-    hull_rows = _hull_rows(c, form).row_list()
-    if not _is_maximal(gram, c.k - len(hull_rows), form):
+    if not _is_maximal(_gramian(c, form), _gramian_rank(c, form), form):
         raise HullNotMaximalError(
             "hull is not maximal self-orthogonal in the code; "
             "no diagonal Gramian is certified")
-    # Row i of G is independent of the hull and of the rows before it
-    # exactly when row i of S is independent of the rows of S before it:
-    # the hull's coefficient rows are the kernel of x -> xS.  So the
-    # complement is the pivot columns of S^T.
-    rows, diagonal = _congruence(c, form, gram.transpose().rref()[1], False)
+    # The pivot columns of S^T, kept with the hull rows, index the
+    # complement: see `codes._hull_rows`.
+    hull_rows, complement = _hull_rows(c, form)
+    rows, diagonal = _congruence(c, form, complement)
     if len(diagonal) < len(rows):
         raise RuntimeError("complement vector became isotropic despite "
                            "a maximal hull; this should be impossible")
-    return DiagonalizationResult(c, *_diagonal_generator(c, rows + hull_rows, diagonal),
-                                 "maximal-hull-gs")
+    return DiagonalizationResult(
+        c, *_diagonal_generator(c, rows + hull_rows.row_list(), diagonal), "maximal-hull-gs")
 
 
 def pair_diagonal_generators(c: LinearCode, form: str = "euclidean"):

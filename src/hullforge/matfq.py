@@ -158,22 +158,8 @@ class MatrixFq:
         The basis is canonical: free columns are taken in ascending
         order and each basis vector carries a 1 in its own free slot.
         """
-        spec = self.spec
-        R, pivots, rank = self.rref()
-        n = self.cols
-        pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        neg = spec._core.neg
-        top = R.entries[:rank * n]
-        basis = []
-        for f in free:
-            v = [0] * n
-            v[f] = 1
-            for pc, x in zip(pivots, top[f::n]):
-                if x:
-                    v[pc] = neg(x)
-            basis.extend(v)
-        return _matrix(spec, len(free), n, tuple(basis))
+        r, pivots, _ = self.rref()
+        return _kernel(r, pivots)
 
     # -- value semantics ------------------------------------------------------
 
@@ -189,13 +175,6 @@ class MatrixFq:
 
     def __repr__(self):
         return f"MatrixFq({self.spec.q}, {self.rows}x{self.cols})"
-
-    def __str__(self):
-        if self.rows == 0:
-            return f"<empty 0x{self.cols}>"
-        w = len(str(self.spec.q - 1))
-        return "\n".join(" ".join(f"{e:>{w}}" for e in self.row(i))
-                         for i in range(self.rows))
 
 
 def _check_entries(spec: FieldSpec, entries) -> None:
@@ -224,6 +203,22 @@ def _stack(spec: FieldSpec, rows, cols: int) -> MatrixFq:
     """`from_rows` without the per-entry check, for rows of codes the
     package computed itself (kernel rows, lists or tuples)."""
     return _matrix(spec, len(rows), cols, tuple(chain.from_iterable(rows)))
+
+
+def _kernel(r: MatrixFq, pivots) -> MatrixFq:
+    """`MatrixFq.kernel` of a matrix from its rref r and pivot columns,
+    for a caller that keeps the elimination's pivots as well."""
+    n, pivot_set = r.cols, set(pivots)
+    neg, top = r.spec._core.neg, r.entries[:len(pivots) * n]
+    basis = []
+    for f in (c for c in range(n) if c not in pivot_set):
+        v = [0] * n
+        v[f] = 1
+        for pc, x in zip(pivots, top[f::n]):
+            if x:
+                v[pc] = neg(x)
+        basis.extend(v)
+    return _matrix(r.spec, n - len(pivots), n, tuple(basis))
 
 
 def vstack(a: MatrixFq, b: MatrixFq) -> MatrixFq:

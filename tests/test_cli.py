@@ -464,3 +464,49 @@ def test_imports_only_the_standard_library():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
     assert done.stdout.split() == []
+
+
+def test_code_file_not_utf8_exit_2(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.code"
+    latin1.write_bytes("# caf\xe9\n2 1 2 1\n1 1\n".encode("latin-1"))
+    rc, out, err = run(capsys, "hull", str(latin1))
+    assert rc == 2 and out == ""
+    assert "is not UTF-8" in err
+
+
+def test_verify_over_budget_checks_the_hull_on_the_dual_side(capsys, tmp_path):
+    """q^k over the budget: verify enumerates the dual when it fits, and
+    a zero dual (k = n) needs no walk, since the hull is then zero."""
+    F3 = make_field(3, 1)
+    wide = tmp_path / "wide.code"
+    wide.write_text(cli.format_code_file(random_code(F3, 12, 10, 1)))
+    full = tmp_path / "full.code"
+    full.write_text("3 1 5 5\n" + "".join(
+        " ".join(str(int(i == j)) for j in range(5)) + "\n" for i in range(5)))
+    for path, words in ((wide, 3 ** 10), (full, 3 ** 5)):
+        rc, out, _ = run(capsys, "verify", str(path), "--budget", "100")
+        lines = out.splitlines()
+        assert rc == 0
+        assert "   pass  hull-vs-enumeration" in lines
+        for name in ("min-distance-agreement", "maximality-agreement"):
+            assert f"skipped  {name} (needs {words} codewords, cap 100)" in lines
+        assert lines[-1] == "verdict: no check failed, 2 of 8 skipped"
+
+
+def test_extension_verification_failure_exit_3(capsys, monkeypatch, fixtures_dir):
+    def failing(code, r, budget):
+        raise cli.ExtensionVerificationError("hull dimension changed: 2 != 1")
+    monkeypatch.setattr(cli, "extend_euclidean", failing)
+    rc, out, err = run(capsys, "eaqecc-extend", str(fixtures_dir / "ext635.code"), "--r", "1")
+    assert rc == 3 and out == ""
+    assert err == "verification failure: hull dimension changed: 2 != 1\n"
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch, fixtures_dir):
+    monkeypatch.setattr(sys, "argv", ["hullforge", "hull", str(fixtures_dir / "rep31.code")])
+    rc = cli.main()
+    assert rc == 0 and "hull dimension: 0" in capsys.readouterr().out
+
+
+def test_to_json_passes_other_values_through():
+    assert cli.to_json([1, 2]) == [1, 2] and cli.to_json(0.5) == 0.5

@@ -63,6 +63,8 @@ def test_make_code_rejects_zero_and_empty():
         code(F2, [[0, 0, 0]])
     with pytest.raises(ValueError):
         make_code(F2, MatrixFq.from_rows(F2, [], cols=0))
+    with pytest.raises(ValueError, match="different field"):
+        make_code(F3, MatrixFq.identity(F2, 2))
 
 
 # ---------------------------------------------------------------

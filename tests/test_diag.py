@@ -4,7 +4,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracle import tetracodes
 
+from hullforge import diag
+from hullforge.cli import parse_code_file
 from hullforge.codes import (hull, is_hull_maximal_so_in, is_lcd, make_code,
                              random_code)
 from hullforge.diag import (HullNotMaximalError, NotLcdError,
@@ -207,6 +210,65 @@ def test_maximal_hull_hermitian_gf4_fixture():
 def test_maximal_hull_refuses_non_maximal():
     with pytest.raises(HullNotMaximalError):
         diagonalize_maximal_hull(code(F2, [[1, 0], [0, 1]]))
+
+
+# ---------------------------------------------------------------
+# the engine's work: it stops at the theorem's base case, and the
+# maximal route reads the hull's one elimination of S^T
+# ---------------------------------------------------------------
+
+def count_calls(monkeypatch, core, name):
+    """Wrap the core's row operation `name`; the list receives the
+    arguments of each call."""
+    calls, original = [], getattr(core, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(core, name, counted)
+    return calls
+
+
+def test_diagonalize_odd_stops_when_every_image_is_zero(monkeypatch):
+    # The Gramian is zero, so one scan of the k rows finds no anisotropic
+    # row and every image eS is zero: k inner products, no pair search.
+    tetra16 = tetracodes(4)
+    b, c = isotropic_scalars(F9, "hermitian")
+    herm = code(F9, [[int(t == i) for t in range(4)] + [b * (t == i) for t in range(4)]
+                     + [c * (t == i) for t in range(4)] for i in range(4)])
+    for c, form, name in ((tetra16, "euclidean", "dot"), (herm, "hermitian", "dot_conj")):
+        assert c.gen.gramian(form).is_zero()
+        calls = count_calls(monkeypatch, c.spec._core, name)
+        res = diagonalize_odd(c, form)
+        assert len(calls) == c.k
+        assert res.nonzero_count == 0 and res.new_gen == c.gen
+
+
+def test_maximal_hull_after_hull_runs_no_elimination(monkeypatch, fixtures_dir):
+    c = parse_code_file((fixtures_dir / "hamming74.code").read_text())
+    hull(c)
+    calls = count_calls(monkeypatch, c.spec._core, "rref")
+    res = diagonalize_maximal_hull(c)
+    assert calls == []
+    assert res.nonzero_count == 1
+    assert_diagonal_result(res, "euclidean")
+
+
+def test_maximal_hull_refusal_forms_no_hull_rows(monkeypatch):
+    c = random_code(F2, 12, 6, 1)
+    calls = count_calls(monkeypatch, F2._core, "rref")
+    with pytest.raises(HullNotMaximalError):
+        diagonalize_maximal_hull(c)
+    # one forward elimination, for rank S, and no reduced one
+    assert [args[1:] for args in calls] == [(False,)]
+    assert ("hull_rows", "euclidean") not in c._facts
+
+
+def test_maximal_hull_guard_fires_on_a_short_diagonal(monkeypatch):
+    c = code(F2, [[1, 1, 1]])
+    monkeypatch.setattr(diag, "_congruence", lambda c, form, indices: ([(1,)], []))
+    with pytest.raises(RuntimeError, match="isotropic despite a maximal hull"):
+        diagonalize_maximal_hull(c)
 
 
 # ---------------------------------------------------------------

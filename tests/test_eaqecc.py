@@ -12,7 +12,7 @@ from test_codes import fresh
 from test_diag import SHAPES, shaped_code
 from test_rows import FIELDS
 
-from hullforge import codes, diag, oracle
+from hullforge import codes, diag, eaqecc, oracle
 from hullforge.codes import (BudgetExceeded, hull,
                              hull_dimension_via_gramian, is_hull_maximal_so_in,
                              is_lcd, is_self_orthogonal, make_code,
@@ -164,6 +164,48 @@ def test_extension_checks_build_no_hull_generator(monkeypatch):
     assert (1, 3, 8) not in shapes
 
 
+@pytest.mark.parametrize("fault,message", [
+    ("dimension", "extended code is"),
+    ("diagonal", "not orthogonal to the new parity rows"),
+    ("parity rank", "parity-check Gramian has the wrong rank"),
+    ("hull", "hull dimension changed"),
+    ("distance", "distance 9 outside"),
+])
+def test_extension_checks_fire(monkeypatch, fault, message):
+    """Each built-in check of the extension guards a theorem, so no
+    honest input reaches it: a fault is injected where the check looks."""
+    c = random_code(F5, 6, 3, 0)
+    if fault == "dimension":
+        real_make = eaqecc.make_code
+        monkeypatch.setattr(eaqecc, "make_code", lambda spec, g: real_make(
+            spec, MatrixFq.from_rows(spec, g.row_list()[1:])))
+    elif fault == "diagonal":
+        real_diag = eaqecc.diagonalize_odd
+
+        def wrong_diagonal(code, form):
+            res = real_diag(code, form)
+            diagonal = (F5.mul(2, res.diagonal[0]),) + res.diagonal[1:]
+            return diag.DiagonalizationResult(code, res.new_gen, diagonal,
+                                              res.nonzero_count, res.method)
+        monkeypatch.setattr(eaqecc, "diagonalize_odd", wrong_diagonal)
+    else:
+        if fault in ("parity rank", "hull"):
+            real_rank = eaqecc._dual_gramian_rank
+            monkeypatch.setattr(eaqecc, "_dual_gramian_rank",
+                                lambda code, form: real_rank(code, form) - 1)
+        if fault == "hull":
+            real_ell = eaqecc.hull_dimension_via_gramian
+            monkeypatch.setattr(eaqecc, "hull_dimension_via_gramian",
+                                lambda code, form: real_ell(code, form) + 1)
+        if fault == "distance":
+            real_d = eaqecc._distance_or_none
+            monkeypatch.setattr(eaqecc, "_distance_or_none", lambda code, budget: (
+                9 if code.n == 8 else real_d(code, budget)))
+    with pytest.raises(ExtensionVerificationError, match=message) as err:
+        extend_euclidean(c, 2)
+    assert err.value.certificate.original == c
+
+
 def test_extension_rejects_small_or_even_fields():
     with pytest.raises(ValueError):
         extend_euclidean(random_code(F3, 4, 2, 0), 0)   # q = 3 < 5
@@ -307,11 +349,15 @@ def test_hermitian_extension_rejects_even_base():
 # rate algebra
 # ---------------------------------------------------------------
 
-def synthetic_record(n, k, ell, r, q=5):
+def synthetic_record(n, k, ell, r, q=5, rate=None, net_rate=None):
+    """The record rate_report expects from (n, k, ell, r); rate and
+    net_rate, when given, replace the exact values."""
     return EaqeccRecord(
         n=n + r, k_logical=k - ell, d_exact=None, d_bounds=(1, n + r),
-        c=n - k - ell + r, q=q, rate=Fraction(k - ell, n + r),
-        net_rate=Fraction(2 * k - n - r, n + r), provenance="ext-euclidean", r=r)
+        c=n - k - ell + r, q=q,
+        rate=Fraction(k - ell, n + r) if rate is None else rate,
+        net_rate=Fraction(2 * k - n - r, n + r) if net_rate is None else net_rate,
+        provenance="ext-euclidean", r=r)
 
 
 def test_rate_report_hamming_values():
@@ -342,6 +388,25 @@ def test_rate_report_rejects_mismatch():
         rate_report(rec, 8, 4, 3, 0)
     with pytest.raises(ValueError):
         rate_report(rec, 7, 4, 4, 0)        # ell > min(k, n - k)
+
+
+def test_rate_report_rejects_rates_that_disagree():
+    with pytest.raises(ValueError, match="rates disagree"):
+        rate_report(synthetic_record(7, 4, 3, 0, rate=Fraction(1, 2)), 7, 4, 3, 0)
+
+
+def test_rate_report_theorem_checks_fire(monkeypatch):
+    """The sign law and the 1/2 floor are theorems about exact rationals,
+    so a fault is injected into the Fraction that `rate_report` reads."""
+    monkeypatch.setattr(eaqecc, "Fraction", lambda a, b: -Fraction(a, b))
+    rec = synthetic_record(7, 4, 3, 0, rate=Fraction(-1, 7), net_rate=Fraction(-1, 7))
+    with pytest.raises(AssertionError, match="sign law"):
+        rate_report(rec, 7, 4, 3, 0)
+    # 4k >= 3n + r holds for [4, 3], ell = 0, and the floor is raised to 2
+    monkeypatch.setattr(eaqecc, "Fraction",
+                        lambda a, b: Fraction(2) if (a, b) == (1, 2) else Fraction(a, b))
+    with pytest.raises(AssertionError, match="rate fell below 1/2"):
+        rate_report(synthetic_record(4, 3, 0, 0), 4, 3, 0, 0)
 
 
 # ---------------------------------------------------------------

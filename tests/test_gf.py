@@ -61,6 +61,10 @@ def test_construction_errors():
     for p, m in ((2 ** 61 - 1, 1), (3, 10 ** 8), (65537, 1)):
         with pytest.raises(ValueError, match="exceeds the cap"):
             make_field(p, m)
+    # a prime p and m under the first check, with p^m over the cap
+    for p, m in ((3, 11), (257, 2)):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            FieldSpec(p, m)
 
 
 @pytest.mark.parametrize("p,m,message", [(2, True, "extension degree"),

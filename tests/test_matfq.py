@@ -234,3 +234,32 @@ def test_vstack():
     a = MatrixFq.from_rows(F2, [[1, 0]])
     b = MatrixFq.from_rows(F2, [[0, 1]])
     assert vstack(a, b).row_list() == [(1, 0), (0, 1)]
+
+
+# ---------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------
+
+def test_refusals():
+    m = MatrixFq.identity(F2, 2)
+    with pytest.raises(ValueError, match="unknown form"):
+        m.gramian("symplectic")
+    with pytest.raises(ValueError, match="does not match"):
+        MatrixFq(F2, 2, 2, [0, 1, 1])
+    with pytest.raises(ValueError, match="cols is required"):
+        MatrixFq.from_rows(F2, [])
+    with pytest.raises(ValueError, match="different fields"):
+        m @ MatrixFq.identity(F3, 2)
+    with pytest.raises(TypeError):
+        m @ [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="vstack"):
+        vstack(m, MatrixFq.identity(F2, 3))
+    with pytest.raises(ValueError, match="vstack"):
+        vstack(m, MatrixFq.identity(F3, 2))
+    with pytest.raises(ValueError, match="square"):
+        pair_reduce_diagonal(MatrixFq.zeros(F2, 2, 3))
+
+
+def test_row_space_equal_on_different_ranks():
+    a = MatrixFq.from_rows(F3, [[1, 2, 0], [0, 1, 1]])
+    assert not row_space_equal(a, MatrixFq.from_rows(F3, [[1, 2, 0], [2, 1, 0]]))

@@ -75,9 +75,7 @@ and per entry adds the spread digits of u_i to the big-int product of
 the spread f and v_i before one reduction; `dot` and `dot_conj` sum
 the products of spread codes unreduced in chunks of 32 (16 for
 `dot_conj`), reduce each chunk once and add the reduced chunks.
-`matmul` spreads every entry of A and of B once per call and sums
-the products of each entry of A·B unreduced, with one reduction per
-32 of them.
+`matmul` works on packed rows, described next.
 
 Elimination on `_Lanes` packs every row once, up front, into one int,
 entry t in slot t of 2m - 1 lanes, and unpacks every row at the end.
@@ -91,7 +89,12 @@ holds at most 3m(p - 1)^2, within the capacity of 32 products.
 Forward elimination runs without fractions, row <- pv*row - e*prow
 below each pivot, so it inverts nothing and reduces no row above a
 pivot; Gauss-Jordan elimination inverts each pivot once to normalize
-its row.
+its row.  `matmul` packs each row of B once per call, the same way, and
+forms row i of A·B as the sum of the spread a_it times packed row t of
+B over the nonzero a_it: one big-int multiply-add per term, a
+polynomial product within every slot.  It reduces the whole row once,
+as a row operation does, after the first 32 terms and after every 31
+further terms with the reduced sum so far, and unpacks it once.
 
 `_Tables` serves every field with q <= 256.  It holds dense tables,
 derived from the `_Prime` or `_Lanes` core of the same field: the
@@ -143,9 +146,11 @@ from itertools import product
 
 ORDER_LIMIT = 1 << 16
 TABLE_LIMIT = 256
-# The lanes of `_Lanes` hold a sum of this many products; row operations
-# share them with single-element arithmetic, and longer sums are
-# finished in chunks of this many.
+# The lanes of `_Lanes` hold a sum of this many products of spread
+# codes; elimination and single-element arithmetic share them.  `dot`
+# reduces longer sums in chunks of this many, and `matmul` reduces a
+# row of A·B once per this many terms, its reduced sum so far one of
+# them.
 _CORE_TERMS = 32
 # Bits per digit in the dot-product sums of `_Tables`: rows are far
 # shorter than 2^32 / p.
@@ -421,7 +426,6 @@ class _Lanes(_Core):
     __slots__ = ()
 
     def __init__(self, p, m, modulus):
-        times = operator.mul
         w, k = _lane_shape(p, m, _CORE_TERMS)
         h = (m + 1) // 2
         half = p ** h
@@ -550,16 +554,6 @@ class _Lanes(_Core):
             return total([(lo[x % half] + hi[x // half]) * (lo[y % half] + hi[y // half])
                           for x, y in zip(u, v) if x and y], _CORE_TERMS)
 
-        def matmul(a_rows, b_rows):
-            # every entry spread once; each output entry sums its products
-            # unreduced and is finished once per _CORE_TERMS of them
-            cols = list(zip(*[[lo[y % half] + hi[y // half] for y in row] for row in b_rows]))
-            rows = [[lo[x % half] + hi[x // half] for x in row] for row in a_rows]
-            if len(b_rows) <= _CORE_TERMS:
-                return [[finish(sum(map(times, row, col))) for col in cols] for row in rows]
-            return [[total(list(map(times, row, col)), _CORE_TERMS) for col in cols]
-                    for row in rows]
-
         # Elimination on packed rows.  A packed row is one int that holds
         # the spread code of entry t in slot t, bits [slot*t, slot*(t+1)):
         # 2m - 1 lanes, room for a product of two spread codes.  `rref`
@@ -671,6 +665,23 @@ class _Lanes(_Core):
                 pivots.append(c)
                 r += 1
             return [unpack_row(s, n) for s in packed] if reduced else packed, pivots
+
+        def matmul(a_rows, b_rows):
+            # row i of A·B is sum_t a_it * (row t of B), on packed rows: one
+            # multiply-add per nonzero a_it, whose slot products never carry
+            # into the next slot, and one `fold_row` per _CORE_TERMS terms,
+            # the reduced sum so far counting as one of them
+            n = len(b_rows[0])
+            lanes, highs = row_masks(n)
+            packed = [pack_row(row) for row in b_rows]
+            out = []
+            for row in a_rows:
+                terms = [(lo[x % half] + hi[x // half]) * b for x, b in zip(row, packed) if x]
+                s = sum(terms[:_CORE_TERMS])
+                for i in range(_CORE_TERMS, len(terms), _CORE_TERMS - 1):
+                    s = fold_row(s, lanes, highs) + sum(terms[i:i + _CORE_TERMS - 1])
+                out.append(unpack_row(fold_row(s, lanes, highs), n))
+            return out
 
         conj = dot_conj = None
         if m % 2 == 0:

@@ -19,6 +19,7 @@ from test_rows import FIELDS
 
 from hullforge.codes import hull, is_hull_maximal_so_in, make_code
 from hullforge.diag import diagonalize_maximal_hull, diagonalize_odd, pair_diagonal_generators
+from hullforge.eaqecc import extend_euclidean, extend_hermitian
 from hullforge.matfq import MatrixFq, row_space_equal
 
 
@@ -103,26 +104,37 @@ CASES = [(spec, form) for spec in FIELDS for form in ("euclidean", "hermitian")
          if form == "euclidean" or spec.subfield_order is not None]
 
 
-def cyclic_cases(spec, form, count):
-    """count cyclic codes over spec, (code, g), with n <= 40 drawn in
-    turn at random, as a multiple of p and as a divisor of q - 1, where
-    such n exist."""
-    rng = random.Random(spec.q * 2 + (form == "hermitian"))
-    lengths = [range(3, 41), range(spec.p, 41, spec.p),
-               [n for n in range(3, 41) if (spec.q - 1) % n == 0]]
-    lengths = [ns for ns in lengths if ns]
+def cyclic_cases(spec, rng, count, long=False):
+    """count cyclic codes over spec, (code, g), with n drawn in turn at
+    random, as a multiple of p and as a divisor of q - 1, where such n
+    exist: n <= 40, or 65 <= n <= 80 when long is true.  A long code is
+    generated by the drawn divisor of x^n - 1 or its cofactor, whichever
+    has the larger degree, so that n - k >= 33."""
+    low, top = (65, 80) if long else (0, 40)
+    lengths = [range(3, top + 1), range(spec.p, top + 1, spec.p),
+               [n for n in range(3, top + 1) if (spec.q - 1) % n == 0]]
+    lengths = [ns for ns in ([n for n in ns if n >= low] for ns in lengths) if ns]
     cases = []
     while len(cases) < count:
         n = rng.choice(lengths[len(cases) % len(lengths)])
         g = draw_generator(spec, n, rng)
-        if g is not None:
+        if g is not None and long:
+            g = max(g, poly_divmod(spec, x_to_the(spec, n), g)[0], key=len)
+        if g is not None and len(g) <= n:
             cases.append((make_code(spec, cyclic_matrix(spec, n, g)), g))
     return cases
 
 
 @pytest.mark.parametrize("spec,form", CASES, ids=[f"{s.q}-{f}" for s, f in CASES])
 def test_hull_of_cyclic_codes_is_the_lcm_code(spec, form):
-    for c, g in cyclic_cases(spec, form, 8):
+    rng = random.Random(spec.q * 2 + (form == "hermitian"))
+    cases = cyclic_cases(spec, rng, 8)
+    if spec.q > 256:
+        # inner dimensions n >= 65 for the Gramians and n - k >= 33 for
+        # S = I + A B: past the 32 terms the cores above 256 sum before
+        # a reduction
+        cases += cyclic_cases(spec, rng, 2, long=True)
+    for c, g in cases:
         lcm = hull_generator(spec, c.n, g, form)
         ell = c.n - len(lcm) + 1
         rep = hull(c, form)
@@ -133,3 +145,11 @@ def test_hull_of_cyclic_codes_is_the_lcm_code(spec, form):
         if is_hull_maximal_so_in(c, form):
             assert diagonalize_maximal_hull(c, form).nonzero_count == c.k - ell
         assert sum(1 for d in pair_diagonal_generators(c, form)[2] if d) == c.k - ell
+        if spec.p != 2 and spec.q >= 5:
+            # the extension of the form keeps the hull: euclidean over odd
+            # q >= 5, hermitian over odd q0 >= 3; budget 1 skips distances
+            extend = extend_hermitian if form == "hermitian" else extend_euclidean
+            for r in sorted({min(1, c.k - ell), c.k - ell}):
+                cert, record = extend(c, r, budget=1)
+                assert cert.hull_preserved
+                assert record.c == c.n - c.k - ell + r

@@ -355,6 +355,45 @@ def test_matmul_with_one_row_of_b(spec):
     assert list((a @ b).entries) == naive_matmul(a, b)
 
 
+# The fields of FIELDS on the lanes core, whose product works on packed
+# rows of B and folds a row of A·B once per chunk of nonzero terms.
+LANES = [f for f in FIELDS if f.q > 256 and f.m > 1]
+
+
+@pytest.mark.parametrize("spec", LANES, ids=lambda s: f"q{s.q}")
+@pytest.mark.parametrize("terms", [31, 32, 33, 64])
+def test_matmul_on_rows_of_a_with_zeros_between_terms(spec, terms):
+    """A chunk counts the nonzero entries of a row of A, not its columns:
+    rows with `terms` nonzero entries spread among as many zeros, the
+    largest code in one of them, and an all-zero row, against a B of the
+    largest codes with four columns and with one."""
+    rng = random.Random(terms)
+    k, top = 2 * terms + 1, spec.q - 1
+    rows = []
+    for fill in (lambda: top, lambda: rng.randrange(1, spec.q)):
+        row = [0] * k
+        for t in rng.sample(range(k), terms):
+            row[t] = fill()
+        rows.append(row)
+    a = MatrixFq.from_rows(spec, rows + [[0] * k])
+    for cols in (4, 1):
+        b = MatrixFq.from_rows(spec, [[top] * (cols - 1) + [rng.randrange(spec.q)]
+                                      for _ in range(k)])
+        prod = a @ b
+        assert list(prod.entries) == naive_matmul(a, b)
+        assert list(prod.row(2)) == [0] * cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_matmul_on_the_lanes_core_with_long_inner_dimensions(data):
+    """Inner dimensions up to 70 reach past one and two chunks of terms."""
+    spec = data.draw(st.sampled_from(LANES))
+    n, k, m = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 70)), data.draw(st.integers(1, 4))
+    a, b = data.draw(matrices(spec, n, k)), data.draw(matrices(spec, k, m))
+    assert list((a @ b).entries) == naive_matmul(a, b)
+
+
 # ---------------------------------------------------------------
 # rank, and elimination on the widest fields
 # ---------------------------------------------------------------

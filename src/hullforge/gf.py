@@ -18,6 +18,15 @@ so constructing the same field twice gives bit-identical results:
     p=5, m=2 : x^2 + x + 1
     p=7, m=2 : x^2 + 1
 
+The search walks the monic candidates in that order.  For m >= 2 it
+starts at constant term 1: x is the only irreducible polynomial with
+constant term 0, so skipping the p^(m-1) candidates with constant term
+0 leaves the chosen modulus unchanged.  A candidate is tested for roots
+in GF(p), each by Horner's rule, then trial-divided by the monic
+polynomials of degree 2 .. m/2 with a nonzero constant term, the only
+ones that can divide it.  GF(2^16), the costliest field, skips 2^15
+candidates and tests 22.
+
 Field orders are capped at 2^16.  Every field has one arithmetic core,
 picked when the field is built, and every operation goes through it:
 the element operations add, mul, neg, inv and conj, to which the
@@ -166,16 +175,6 @@ def is_prime(n: int) -> bool:
 # Polynomials over GF(p), little-endian coefficient tuples
 # ----------------------------------------------------------------------
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _poly_divmod(f, g, p):
     """Quotient and remainder of f by a monic polynomial g; the remainder
     carries no trailing zero coefficients."""
@@ -198,28 +197,32 @@ def _poly_mod(f, g, p):
     return _poly_divmod(f, g, p)[1]
 
 
-def _monic_polys(p, degree):
-    """All monic polynomials of the given degree, low coefficients first."""
-    for tail in product(range(p), repeat=degree):
+def _monic_coprime_to_x(p, degree):
+    """The monic polynomials of the given degree with a nonzero constant
+    term, low coefficients first, in the modulus order: by constant term,
+    then by the coefficient of x, and so on upward."""
+    for tail in product(range(1, p), *[range(p)] * (degree - 1)):
         yield list(tail) + [1]
 
 
 def _is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    degree = len(poly) - 1
-    if degree == 1:
-        return True
-    if poly[0] == 0:           # divisible by x
+    """Whether a monic polynomial f of degree >= 2 with a nonzero constant
+    term is irreducible: it has no root in GF(p), each f(r) found by
+    Horner's rule (`_encode` at r), and no monic divisor of degree
+    2 .. deg/2.  f's constant term is the product of its factors', so
+    only divisors with a nonzero constant term are tried."""
+    if any(_encode(r, poly) % p == 0 for r in range(1, p)):
         return False
-    for d in range(1, degree // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not _poly_mod(poly, g, p):
-                return False
-    return True
+    return all(_poly_mod(poly, g, p) for d in range(2, (len(poly) - 1) // 2 + 1)
+               for g in _monic_coprime_to_x(p, d))
 
 
 def _smallest_irreducible(p, m):
-    for candidate in _monic_polys(p, m):
+    """x for m = 1.  For m >= 2, x is the only irreducible polynomial with
+    constant term 0, so the search starts at constant term 1."""
+    if m == 1:
+        return (0, 1)
+    for candidate in _monic_coprime_to_x(p, m):
         if _is_irreducible(candidate, p):
             return tuple(candidate)
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
-from hullforge.gf import FieldSpec, _Tables, make_field, modulus_str
+from hullforge import gf
+from hullforge.gf import ORDER_LIMIT, FieldSpec, _Tables, is_prime, make_field, modulus_str
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -30,6 +33,120 @@ def test_gf9_modulus_matches_enumeration_oracle():
         if expected:
             break
     assert make_field(3, 2).modulus == expected == (1, 0, 1)
+
+
+# A referee for the modulus search that shares no code with `gf`'s
+# polynomial helpers.  Polynomials are coefficient lists over GF(p), low
+# coefficients first, with no trailing zeros; [] is zero.
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _rem(a, b, p):
+    """a mod b for b nonzero."""
+    a = [c % p for c in a]
+    lead = pow(b[-1], p - 2, p)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        c = a[top] * lead % p
+        if c:
+            for i, bi in enumerate(b):
+                a[top - len(b) + 1 + i] = (a[top - len(b) + 1 + i] - c * bi) % p
+    return _trim(a[:len(b) - 1])
+
+
+def _mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _rem(out, f, p)
+
+
+def _gcd_degree(a, b, p):
+    while b:
+        a, b = b, _rem(a, b, p)
+    return len(a) - 1
+
+
+def ben_or_irreducible(f, p):
+    """Ben-Or's criterion: a monic f of degree m is irreducible iff
+    gcd(f, x^(p^i) - x mod f) = 1 for i = 1 .. m/2 (M. Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981)."""
+    h = [0, 1]                              # x^(p^i) mod f
+    for _ in range((len(f) - 1) // 2):
+        power, base, e = [1], h, p
+        while e:
+            if e & 1:
+                power = _mulmod(power, base, f, p)
+            base = _mulmod(base, base, f, p)
+            e >>= 1
+        h = power
+        shifted = h + [0] * (2 - len(h))
+        shifted[1] -= 1
+        if _gcd_degree(f, _trim([c % p for c in shifted]), p) > 0:
+            return False
+    return True
+
+
+EXTENSIONS = [(p, m) for p in range(2, 257) if is_prime(p)
+              for m in range(2, 17) if p ** m <= ORDER_LIMIT]
+
+
+def test_extension_list_is_every_field_with_m_at_least_2():
+    assert len(EXTENSIONS) == 93
+
+
+@pytest.mark.parametrize("p, m", EXTENSIONS)
+def test_modulus_is_the_first_irreducible_in_the_documented_order(p, m):
+    """The modulus is irreducible, and every monic candidate before it,
+    ordered by constant term first and then upward, is reducible; a zero
+    constant term is reducible, since x divides it."""
+    modulus = make_field(p, m).modulus
+    assert len(modulus) == m + 1 and modulus[-1] == 1
+    assert ben_or_irreducible(modulus, p)
+    for tail in product(range(p), repeat=m):
+        if tail == modulus[:-1]:
+            break
+        assert tail[0] == 0 or not ben_or_irreducible(tail + (1,), p), tail
+
+
+def test_ben_or_referee_on_known_polynomials():
+    assert ben_or_irreducible((1, 1, 1), 2)           # x^2 + x + 1
+    assert not ben_or_irreducible((1, 0, 1), 2)       # (x + 1)^2
+    assert not ben_or_irreducible((1, 0, 1, 0, 1), 2)  # (x^2 + x + 1)^2
+    assert not ben_or_irreducible((2, 0, 1), 3)       # (x + 1)(x + 2)
+    assert ben_or_irreducible((1, 0, 1), 3)
+
+
+@pytest.mark.parametrize("p, m, modulus", [
+    (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
+    (3, 10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)),
+    (251, 2, (1, 0, 1)),
+    (5, 6, (1, 0, 0, 0, 1, 1, 1)),
+    (7, 5, (1, 0, 0, 0, 3, 1)),
+    (2, 8, (1, 0, 0, 0, 1, 1, 0, 1, 1)),
+    (7, 2, (1, 0, 1)),
+])
+def test_pinned_moduli(p, m, modulus):
+    assert make_field(p, m).modulus == modulus
+
+
+@pytest.mark.parametrize("p, m, tested", [(2, 16, 22), (3, 10, 7), (251, 2, 1)])
+def test_modulus_search_tests_only_candidates_with_a_nonzero_constant_term(
+        monkeypatch, p, m, tested):
+    """The search starts at constant term 1: the candidates with constant
+    term 0 before it, 2^15 over GF(2^16), 3^9 over GF(3^10) and 251 over
+    GF(251^2), are never tested."""
+    seen = []
+    is_irreducible = gf._is_irreducible
+    monkeypatch.setattr(gf, "_is_irreducible",
+                        lambda poly, prime: seen.append(poly) or is_irreducible(poly, prime))
+    assert gf._smallest_irreducible(p, m) == make_field(p, m).modulus
+    assert len(seen) == tested
+    assert all(poly[0] for poly in seen)
 
 
 def test_subfield_order_present_iff_even_degree():

@@ -1,5 +1,5 @@
 """The arithmetic core of `gf` against a schoolbook reference that
-multiplies digit lists with `_poly_mul` and reduces them with
+multiplies digit lists with `poly_mul` and reduces them with
 `_poly_mod`, over fields on both sides of the table limit."""
 
 from pathlib import Path
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hullforge
-from hullforge.gf import _poly_mod, _poly_mul, _Tables, make_field
+from hullforge.gf import _poly_mod, _Tables, make_field
 from test_rows import FIELDS
 
 # Above the table limit: GF(2^16) and GF(3^10) are the largest fields of
@@ -21,6 +21,17 @@ WIDE = [make_field(p, m) for p, m in
 TABLED = [make_field(p, m) for p, m in [(2, 4), (7, 2), (5, 3), (3, 5), (2, 8)]]
 
 PROPERTY = settings(max_examples=300, deadline=None)
+
+
+def poly_mul(a, b, p):
+    """The schoolbook product of two digit lists over GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % p
+    return out
 
 
 class Schoolbook:
@@ -50,7 +61,7 @@ class Schoolbook:
         return self.code([-x % self.p for x in self.digits(a)])
 
     def mul(self, a, b):
-        prod = _poly_mul(self.digits(a), self.digits(b), self.p)
+        prod = poly_mul(self.digits(a), self.digits(b), self.p)
         return self.code(_poly_mod(prod, self.modulus, self.p))
 
     def pow(self, a, e):
